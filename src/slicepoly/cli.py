@@ -199,7 +199,8 @@ def _build_parser() -> _Parser:
                        help="right-sided function spec for the residual integral")
     p_int.add_argument("--nodes", type=int, default=512)
     p_int.add_argument("--radius", type=float, default=1.0)
-    p_int.add_argument("--unit", default="1,0,0")
+    p_int.add_argument("--unit", default="1,0,0",
+                       help="slice unit X,Y,Z (normalized); write --unit=X,Y,Z if X is negative")
     common(p_int)
     p_int.set_defaults(func=_cmd_integrate)
 
@@ -227,7 +228,7 @@ def main(argv=None) -> int:
     except ZeroDivisionError as exc:
         print(json.dumps({"error": "ZeroDivision", "message": str(exc)}, sort_keys=True))
         return 2
-    except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError, json.JSONDecodeError) as exc:
         print(f"slicepoly: input error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,10 +44,6 @@ def set_degree_cap(cap: int) -> int:
     return old
 
 
-def degree_cap() -> int:
-    return _degree_cap
-
-
 class QPoly:
     """Sparse polynomial with exact quaternion coefficients.
 
@@ -253,10 +249,6 @@ def _wrap(terms: dict[Exponent, Quaternion]) -> QPoly:
     p = QPoly.__new__(QPoly)
     p._terms = terms
     return p
-
-
-def evaluate(p: QPoly, q: Quaternion) -> Quaternion:
-    return p.evaluate(q)
 
 
 # -- the quaternion variable and its conjugate ------------------------------------

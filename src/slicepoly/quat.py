@@ -180,9 +180,6 @@ class Quaternion:
     def is_zero(self) -> bool:
         return not (self.w or self.x or self.y or self.z)
 
-    def is_real(self) -> bool:
-        return not (self.x or self.y or self.z)
-
     def inverse(self) -> "Quaternion":
         n2 = self.norm_sq()
         if not n2:
@@ -235,15 +232,6 @@ E2 = Quaternion(0, 0, 1, 0)
 E3 = Quaternion(0, 0, 0, 1)
 
 
-def mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product (noncommutative)."""
-    return p * q
-
-
-def inverse(q: Quaternion) -> Quaternion:
-    return q.inverse()
-
-
 @dataclass(frozen=True, slots=True)
 class UnitImaginary:
     """An imaginary unit: zero real part and unit vector norm, so u*u == -1.
@@ -260,15 +248,15 @@ class UnitImaginary:
             if q.w != 0 or q.vec_norm_sq() != 1:
                 raise ValueError(f"{q} is not an exact imaginary unit")
         else:
-            if abs(q.w) > _UNIT_ULPS or abs(q.vec_norm_sq() - 1.0) > _UNIT_ULPS:
+            if not (abs(q.w) <= _UNIT_ULPS and abs(q.vec_norm_sq() - 1.0) <= _UNIT_ULPS):
                 raise ValueError(f"{q} is not an imaginary unit within 8 ulps")
 
     @classmethod
     def from_vector(cls, x: float, y: float, z: float) -> "UnitImaginary":
-        """Normalize a nonzero 3-vector into a float-backed unit."""
-        n = math.sqrt(x * x + y * y + z * z)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
+        """Normalize a nonzero finite 3-vector (scaled norm, so any float range) into a float unit."""
+        n = math.hypot(x, y, z)
+        if not 0.0 < n < math.inf:
+            raise ValueError(f"cannot normalize the vector ({x}, {y}, {z})")
         return cls(Quaternion(0.0, x / n, y / n, z / n))
 
     @property
@@ -308,17 +296,18 @@ def slice_decompose(q: Quaternion) -> SliceCoords:
     (real axis, single-axis values, Pythagorean vector parts); otherwise
     NoExactSqrt is raised and the caller should convert to float first.
     """
-    v2 = q.vec_norm_sq()
     if q.is_exact:
+        v2 = q.vec_norm_sq()
         if v2 == 0:
             return SliceCoords(q.w, Fraction(0), U1)
         y = exact_sqrt(v2)
         inv_y = Fraction(1) / y
         return SliceCoords(q.w, y, UnitImaginary(q.vec() * inv_y))
-    if v2 == 0.0:
+    # scaled norm and a division, not a reciprocal: subnormal and huge y stay in range
+    y = math.hypot(q.x, q.y, q.z)
+    if y == 0.0:
         return SliceCoords(q.w, 0.0, UnitImaginary(E1.to_float()))
-    y = math.sqrt(v2)
-    return SliceCoords(q.w, y, UnitImaginary(q.vec() * (1.0 / y)))
+    return SliceCoords(q.w, y, UnitImaginary(Quaternion(0.0, q.x / y, q.y / y, q.z / y)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,12 +23,18 @@ from .qpoly import QPoly
 from .quat import Quaternion, UnitImaginary, ZERO, quatf, slice_decompose
 
 
-def _falling(k: int, j: int) -> int:
-    """k! / (k-j)! for 0 <= j <= k."""
-    out = 1
-    for i in range(k, k - j, -1):
-        out *= i
-    return out
+def _horner(coeffs: Sequence[Quaternion], q: Quaternion, right_coeffs: bool) -> Quaternion:
+    """sum_m q^m a_m (right coefficients) or sum_m a_m q^m; a float q converts exact a_m."""
+    if not coeffs:
+        return ZERO if q.is_exact else quatf()
+    if not q.is_exact and coeffs[0].is_exact:
+        coeffs = tuple(c.to_float() for c in coeffs)
+    elif q.is_exact and not coeffs[0].is_exact:
+        raise TypeError("cannot evaluate a float series at an exact point")
+    acc = coeffs[-1]
+    for m in range(len(coeffs) - 2, -1, -1):
+        acc = (q * acc if right_coeffs else acc * q) + coeffs[m]
+    return acc
 
 
 class SliceRegularSeries:
@@ -71,17 +77,7 @@ class SliceRegularSeries:
 
     def evaluate(self, q: Quaternion) -> Quaternion:
         """Horner evaluation; a float point converts coefficients on the fly."""
-        coeffs = self._coeffs
-        if not coeffs:
-            return ZERO if q.is_exact else quatf()
-        if not q.is_exact and coeffs[0].is_exact:
-            coeffs = tuple(c.to_float() for c in coeffs)
-        elif q.is_exact and not coeffs[0].is_exact:
-            raise TypeError("cannot evaluate a float series at an exact point")
-        acc = coeffs[-1]
-        for m in range(len(coeffs) - 2, -1, -1):
-            acc = q * acc + coeffs[m]
-        return acc
+        return _horner(self._coeffs, q, right_coeffs=True)
 
     def expand(self) -> QPoly:
         """Exact polynomial expansion sum_m (q^m as QPoly) a_m."""
@@ -208,10 +204,6 @@ def _parse_fn_json(data) -> tuple[int, list[SliceRegularSeries]]:
     return order, comps
 
 
-def expand(f: SlicePolyFn) -> QPoly:
-    return f.expand()
-
-
 def series_from_expansion(p: QPoly) -> SliceRegularSeries:
     """Recover sum_m q^m a_m from its expansion; NotInClass if p is not slice regular.
 
@@ -266,11 +258,6 @@ def _dot4(a: Quaternion, b: Quaternion) -> float:
     return a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
 
 
-def _anticommute(i: UnitImaginary, j: UnitImaginary, tol: float = 1e-12) -> bool:
-    s = i.u * j.u + j.u * i.u
-    return abs(s) <= tol
-
-
 def canonical_perp(i: UnitImaginary) -> UnitImaginary:
     """A deterministic unit orthogonal to i: normalize i x e1, falling back to i x e2."""
     u = i.to_float().u
@@ -278,6 +265,21 @@ def canonical_perp(i: UnitImaginary) -> UnitImaginary:
     if vy * vy + vz * vz < 1e-12:
         vx, vy, vz = -u.z, 0.0, u.x      # cross(vec(i), e2)
     return UnitImaginary.from_vector(vx, vy, vz)
+
+
+def split_frame(i: UnitImaginary, j: UnitImaginary) -> tuple[Quaternion, Quaternion, Quaternion]:
+    """Float units (i, j, k = ij) of a splitting; NotOrthogonal unless i and j anticommute."""
+    i, j = i.to_float(), j.to_float()
+    if not abs(i.u * j.u + j.u * i.u) <= 1e-12:
+        raise NotOrthogonal("the chosen units do not anticommute")
+    return i.u, j.u, (i.u * j.u).vec()
+
+
+def split_coeff(a: Quaternion, frame: tuple) -> tuple[complex, complex]:
+    """The pair (c1, c2) with a = c1 + c2 j and c1, c2 on the slice of i, as complex numbers."""
+    av = a.to_float()
+    iu, ju, ku = frame
+    return complex(av.w, _dot4(av, iu)), complex(_dot4(av, ju), _dot4(av, ku))
 
 
 def embed_complex(c: complex, i: UnitImaginary) -> Quaternion:
@@ -333,28 +335,38 @@ def restrict(f: SlicePolyFn, i: UnitImaginary, j: UnitImaginary) -> SliceRestric
     the (k, m) term conj(z)^k z^m a then contributes a1 to F and a2 to G.
     Raises NotOrthogonal unless i and j anticommute.
     """
-    i = i.to_float()
-    j = j.to_float()
-    if not _anticommute(i, j):
-        raise NotOrthogonal("the chosen units do not anticommute")
-    one = quatf(1.0)
-    iu, ju = i.u, j.u
-    ku = iu * ju
+    frame = split_frame(i, j)
     f_terms: dict[tuple[int, int], complex] = {}
     g_terms: dict[tuple[int, int], complex] = {}
     for k, comp in enumerate(f.components):
         for m, a in enumerate(comp.coeffs):
-            av = a.to_float()
-            c1 = complex(_dot4(av, one), _dot4(av, iu))
-            c2 = complex(_dot4(av, ju), _dot4(av, ku))
+            c1, c2 = split_coeff(a, frame)
             if c1:
                 f_terms[(k, m)] = f_terms.get((k, m), 0j) + c1
             if c2:
                 g_terms[(k, m)] = g_terms.get((k, m), 0j) + c2
-    return SliceRestriction(I=i, J=j, order=f.order, f_terms=f_terms, g_terms=g_terms)
+    return SliceRestriction(I=i.to_float(), J=j.to_float(), order=f.order,
+                            f_terms=f_terms, g_terms=g_terms)
 
 
 # -- slice Cauchy-Riemann derivatives and the representation formula ------------
+
+
+def _cr_callable(order: int, j: int, term: Callable) -> Callable[[Quaternion], Quaternion]:
+    """z -> sum_{j <= k < order} term(k, z, conj(z)^(k-j)) * k!/(k-j)!, skipping None terms."""
+    if j < 0:
+        raise ValueError("derivative order must be nonnegative")
+
+    def deriv(z: Quaternion) -> Quaternion:
+        acc = ZERO if z.is_exact else quatf()
+        zbar = z.conjugate()
+        for k in range(j, order):
+            t = term(k, z, zbar ** (k - j))
+            if t is not None:
+                acc = acc + t * math.perm(k, j)
+        return acc
+
+    return deriv
 
 
 def slice_cr_derivative(
@@ -366,24 +378,9 @@ def slice_cr_derivative(
     depends on z, which the caller must take on the slice of ``i``; j >= order
     gives the zero function.
     """
-    if j < 0:
-        raise ValueError("derivative order must be nonnegative")
     comps = f.components
-    order = f.order
-
-    def deriv(z: Quaternion) -> Quaternion:
-        acc = ZERO if z.is_exact else quatf()
-        if j >= order:
-            return acc
-        zbar = z.conjugate()
-        for k in range(j, order):
-            comp = comps[k]
-            if comp.is_zero():
-                continue
-            acc = acc + zbar ** (k - j) * comp.evaluate(z) * _falling(k, j)
-        return acc
-
-    return deriv
+    return _cr_callable(f.order, j, lambda k, z, zpow: (
+        None if comps[k].is_zero() else zpow * comps[k].evaluate(z)))
 
 
 def slice_extend(
@@ -463,15 +460,7 @@ class RightSlicePolyFn:
         return acc
 
     def _eval_component(self, k: int, q: Quaternion) -> Quaternion:
-        coeffs = self._components[k]
-        if not coeffs:
-            return ZERO if q.is_exact else quatf()
-        if not q.is_exact and coeffs[0].is_exact:
-            coeffs = tuple(c.to_float() for c in coeffs)
-        acc = coeffs[-1]
-        for m in range(len(coeffs) - 2, -1, -1):
-            acc = acc * q + coeffs[m]
-        return acc
+        return _horner(self._components[k], q, right_coeffs=False)
 
     def to_float(self) -> "RightSlicePolyFn":
         return RightSlicePolyFn([[c.to_float() for c in comp] for comp in self._components])
@@ -486,18 +475,5 @@ def right_cr_derivative(
     g: RightSlicePolyFn, i: UnitImaginary, j: int
 ) -> Callable[[Quaternion], Quaternion]:
     """j-th right slice CR derivative: sum_{k >= j} k!/(k-j)! g_k(z) conj(z)^(k-j)."""
-    if j < 0:
-        raise ValueError("derivative order must be nonnegative")
-    order = g.order
-
-    def deriv(z: Quaternion) -> Quaternion:
-        acc = ZERO if z.is_exact else quatf()
-        if j >= order:
-            return acc
-        zbar = z.conjugate()
-        for k in range(j, order):
-            if g.components[k]:
-                acc = acc + g._eval_component(k, z) * zbar ** (k - j) * _falling(k, j)
-        return acc
-
-    return deriv
+    return _cr_callable(g.order, j, lambda k, z, zpow: (
+        g._eval_component(k, z) * zpow if g.components[k] else None))

@@ -140,12 +140,65 @@ class TestIntegrate:
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_unit_with_leading_minus_and_tiny_norm(self, capsys):
+        # the --unit=X,Y,Z form lets a value start with a minus sign; a vector
+        # whose squared norm underflows is still normalized
+        for unit in ("--unit=-0.5,0.1,0.8", "--unit=1e-170,0,0"):
+            code, out = run_cli(capsys, "integrate", "cauchy", QBAR_SPEC, "[0.25,0.25,0,0]", unit)
+            assert code == 0, unit
+            assert json.loads(out)["abs_deviation"] < 1e-10
+
     def test_stdin_spec(self, capsys, monkeypatch):
         import io
 
         monkeypatch.setattr(sys, "stdin", io.StringIO(QBAR_SPEC))
         code, out = run_cli(capsys, "integrate", "cauchy", "-", "[0.1,0.1,0,0]")
         assert code == 0
+
+
+def _strict_json(out: str) -> None:
+    """stdout is empty or one JSON document without NaN or infinities."""
+    if out.strip():
+        json.dumps(json.loads(out), allow_nan=False)
+
+
+class TestIntegrateBoundary:
+    """Out-of-range input is refused with an error exit, never NaN output and exit 0."""
+
+    def check_refused(self, capsys, *argv, codes=(1, 2)):
+        code, out = run_cli(capsys, "integrate", *argv)
+        assert code in codes
+        _strict_json(out)
+        return code
+
+    def test_non_finite_radius(self, capsys):
+        for radius in ("nan", "inf", "-inf"):
+            assert self.check_refused(capsys, "cauchy", QBAR_SPEC, "[0.25,0.25,0,0]",
+                                      f"--radius={radius}") == 1
+
+    def test_non_finite_point(self, capsys):
+        for point in ("[NaN,0,0,0]", "[0,Infinity,0,0]"):
+            for kind in ("cauchy", "fueter"):
+                self.check_refused(capsys, kind, QBAR_SPEC, point)
+
+    def test_node_count_bounds(self, capsys):
+        for nodes in ("100000000", "3", "-5"):
+            assert self.check_refused(capsys, "cauchy", QBAR_SPEC, "[0.25,0.25,0,0]",
+                                      "--nodes", nodes) == 1
+        code, out = run_cli(capsys, "verify", "quadrature", "--count", "1",
+                            "--nodes", "100000000")
+        assert code == 1 and out == ""
+
+    def test_non_finite_unit(self, capsys):
+        assert self.check_refused(capsys, "cauchy", QBAR_SPEC, "[0.25,0.25,0,0]",
+                                  "--unit=nan,0,1") == 1
+
+    def test_order_beyond_float_range(self, capsys):
+        # 2^(n-1) and the weights (n-1)!/(n-1-j)! leave the float range
+        spec = json.dumps({"order": 1200, "components": [[1]]})
+        assert self.check_refused(capsys, "fueter", spec, "[0.1,0,0,0]") == 1
+        spec = json.dumps({"order": 200, "components": [[]] * 199 + [[1]]})
+        assert self.check_refused(capsys, "cauchy", spec, "[0.1,0,0,0]") == 1
 
 
 class TestEntryPoint:

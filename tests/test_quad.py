@@ -1,10 +1,11 @@
 import math
 import random
+import sys
 
 import pytest
 
 from slicepoly import kernels, qpoly, quad
-from slicepoly.errors import OrderMismatch, OutsideContour
+from slicepoly.errors import OnSingularSphere, OrderMismatch, OutsideContour
 from slicepoly.oracle import fd_cauchy_fueter
 from slicepoly.quad import (
     CirclePath,
@@ -15,7 +16,13 @@ from slicepoly.quad import (
     unit_independence_check,
 )
 from slicepoly.quat import ONE, Quaternion, U1, UnitImaginary, ZERO, quatf
-from slicepoly.slicefn import RightSlicePolyFn, SlicePolyFn, SliceRegularSeries, slice_cr_derivative
+from slicepoly.slicefn import (
+    RightSlicePolyFn,
+    SlicePolyFn,
+    SliceRegularSeries,
+    right_cr_derivative,
+    slice_cr_derivative,
+)
 
 from helpers import rand_point, rand_rightfn, rand_slicefn, rand_unit
 
@@ -54,6 +61,22 @@ class TestCirclePath:
             CirclePath(U1, -1.0, 64)
         with pytest.raises(ValueError):
             CirclePath(U1, 1.0, 2)
+
+    def test_rejects_non_finite_radius_and_huge_node_count(self):
+        for rho in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                CirclePath(U1, rho, 64)
+        with pytest.raises(ValueError):
+            CirclePath(U1, 1.0, quad.MAX_NODES + 1)
+        assert CirclePath(U1, 1.0, quad.MIN_NODES).n == quad.MIN_NODES
+
+    def test_nodes_match_line_elements(self):
+        # dw_m = w_m dtheta, both on the slice of the contour's unit
+        path = CirclePath(UnitImaginary.from_vector(1, -2, 0.5), 1.5, 32)
+        dtheta = 2.0 * math.pi / 32
+        for w, dw in path.nodes():
+            assert (w * dtheta).approx_eq(dw, 1e-15)
+            assert abs(w * path.unit.u - path.unit.u * w) <= 1e-15
 
 
 class TestPolyCauchy:
@@ -250,3 +273,100 @@ class TestOrderingSensitivity:
         terms = [kernels.f_j(w, q, 0) * deriv(w) * dw for w, dw in PATH.nodes()]
         swapped = quad._reduce(terms, 0.5 / math.pi)
         assert abs(swapped - ref) > 1e-3
+
+
+def _pointwise(kind, f, g, q, path):
+    """An integral as pointwise quaternion sandwiches kernel * dw * derivative.
+
+    Built from path.nodes(), the kernels module and the CR-derivative
+    callables, and reduced per component with fsum; returns the value and
+    the node terms.
+    """
+    nodes = path.nodes()
+    ff, n = f.to_float(), f.order
+    if kind == "residual":
+        lder = [slice_cr_derivative(ff, path.unit, j) for j in range(n)]
+        rder = [right_cr_derivative(g.to_float(), path.unit, j) for j in range(n)]
+        terms = [rder[n - 1 - j](w) * dw * lder[j](w) * (-1.0) ** j
+                 for w, dw in nodes for j in range(n)]
+        scale = 1.0
+    elif kind == "cauchy":
+        der = [slice_cr_derivative(ff, path.unit, j) for j in range(n)]
+        terms = [kernels.f_j(w, q, j) * dw * der[j](w) * (-2.0) ** j
+                 for w, dw in nodes for j in range(n)]
+        scale = 0.5 / math.pi
+    elif kind == "fueter":
+        top = slice_cr_derivative(ff, path.unit, n - 1)
+        terms = [kernels.delta_s_inv(w, q) * dw * top(w) for w, dw in nodes]
+        scale = 2.0 ** (n - 1) / (2.0 * math.pi)
+    else:
+        top = slice_cr_derivative(ff, path.unit, n - 1)
+        terms = []
+        for w, dw in nodes:
+            dinv = (w * w - w * (2.0 * q.w) + quatf(q.norm_sq())).inverse()
+            terms.append((q.conjugate() - w) * (dinv * dinv) * dw * top(w))
+        scale = 2.0**n / math.pi
+    value = Quaternion(*(math.fsum(getattr(t, c) for t in terms) * scale for c in "wxyz"))
+    return value, terms
+
+
+class TestSliceComplexRoute:
+    """The slice-complex driver against pointwise quaternion sandwiches built in the test."""
+
+    KERNEL_INTEGRALS = {
+        "cauchy": poly_cauchy_eval,
+        "fueter": fueter_integral,
+        "explicit": fueter_integral_explicit,
+    }
+
+    def test_agrees_with_pointwise_sandwich(self):
+        rng = random.Random(131)
+        for n_nodes in (16, 512, 1024):
+            for order in (1, 2, 3):
+                f = rand_slicefn(rng, order, 4)
+                g = rand_rightfn(rng, order, 4)
+                q = rand_point(rng, 0.0, 0.6)
+                path = CirclePath(rand_unit(rng), 1.0, n_nodes)
+                for kind, integral in self.KERNEL_INTEGRALS.items():
+                    ref, _ = _pointwise(kind, f, None, q, path)
+                    assert abs(integral(f, q, path) - ref) <= 1e-13 * max(1.0, abs(ref)), kind
+                # the residual's true value is 0, so both routes sit at the rounding
+                # floor of the node sum, a few ulps of sum |term| (over 1e-13 for
+                # some order-3 sums at N = 16)
+                ref, terms = _pointwise("residual", f, g, q, path)
+                floor = 4.0 * sys.float_info.epsilon * math.fsum(abs(t) for t in terms)
+                assert abs(cauchy_theorem_residual(f, g, path) - ref) <= max(1e-13, floor)
+
+    def test_singular_sphere_guard(self):
+        # the node at theta = pi/2 lies within 1e-12 of the sphere of q
+        q = quatf(0.0, 1.0 - 1e-12)
+        f = fn([ONE], [ZERO, ONE])
+        for integral in self.KERNEL_INTEGRALS.values():
+            with pytest.raises(OnSingularSphere):
+                integral(f, q, PATH)
+
+    def test_rejects_non_finite_point(self):
+        for q in (quatf(math.nan), quatf(0.1, math.inf), quatf(0.0, 0.0, -math.inf)):
+            for integral in self.KERNEL_INTEGRALS.values():
+                with pytest.raises(ValueError):
+                    integral(fn([ONE]), q, PATH)
+
+    def test_weights_beyond_float_range(self):
+        # CR^1199 of conj(q)^1199 carries the weight 1199!; 2^1199 is the
+        # order-1200 prefactor even when the top component vanishes
+        top = SlicePolyFn([S([])] * 1199 + [S([ONE])])
+        bottom = SlicePolyFn([S([ONE])] + [S([])] * 1199)
+        q = quatf(0.1, 0.2)
+        for integral in self.KERNEL_INTEGRALS.values():
+            with pytest.raises(ValueError):
+                integral(top, q, PATH)
+        for integral in (fueter_integral, fueter_integral_explicit):
+            with pytest.raises(ValueError):
+                integral(bottom, q, PATH)
+        with pytest.raises(ValueError):
+            cauchy_theorem_residual(top, RightSlicePolyFn([[ONE]] * 1200), PATH)
+
+    def test_high_order_with_small_weights_still_integrates(self):
+        # a padded order-200 constant needs no weight above 1
+        f = SlicePolyFn([S([ONE])] + [S([])] * 199)
+        assert poly_cauchy_eval(f, quatf(0.1, 0.2), PATH).approx_eq(quatf(1.0), 1e-12)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from slicepoly.errors import NoExactSqrt
 from slicepoly.quat import (
@@ -121,6 +121,14 @@ class TestUnitImaginary:
         with pytest.raises(ValueError):
             UnitImaginary(quatf(0.0, 0.9999, 0.0, 0.0))
 
+    def test_from_vector_scaled_norm(self):
+        for x, y, z in ((1e-170, 0.0, 0.0), (0.0, 5e-324, 0.0), (1e300, -1e300, 1e300)):
+            u = UnitImaginary.from_vector(x, y, z)
+            assert abs(u.u.vec_norm_sq() - 1.0) < 8e-16
+        for bad in ((0.0, 0.0, 0.0), (math.nan, 1.0, 0.0), (math.inf, 0.0, 0.0)):
+            with pytest.raises(ValueError):
+                UnitImaginary.from_vector(*bad)
+
     def test_float_tolerance(self):
         u = UnitImaginary.from_vector(1.0, 1.0, 1.0)
         assert abs(u.u * u.u + quatf(1.0)) < 1e-14
@@ -158,6 +166,8 @@ class TestSliceDecompose:
         assert c.y == 5 and c.recompose() == Quaternion(7, 3, 4, 0)
 
     @given(float_quats)
+    @example(quatf(0, 0, 0, 9.67e-161))  # squared vector norm underflows
+    @example(quatf(0.5, 0, 0, 1e155))  # squared vector norm overflows
     def test_roundtrip_float(self, q):
         c = slice_decompose(q)
         assert c.y >= 0.0
