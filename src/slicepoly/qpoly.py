@@ -28,6 +28,7 @@ from .errors import DegreeCapExceeded, NotDivisible, NotFueterRegular
 from .quat import E1, E2, E3, Quaternion, ZERO
 
 Exponent = tuple[int, int, int, int]
+Coef = tuple  # an exact coefficient as its components (w, x, y, z), ints or Fractions
 
 _ZERO_EXP: Exponent = (0, 0, 0, 0)
 
@@ -47,22 +48,21 @@ def set_degree_cap(cap: int) -> int:
 class QPoly:
     """Sparse polynomial with exact quaternion coefficients.
 
-    Stored in canonical form: no zero coefficients.  Treat instances as
-    immutable; operations return new values.
+    Stored in canonical form: no zero coefficients.  Each coefficient is kept
+    as a plain ``(w, x, y, z)`` tuple of ints and Fractions; ``Quaternion``
+    values appear only at the API (constructor, ``terms``, ``coeff``, exact
+    ``evaluate``).  Treat instances as immutable; operations return new values.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Exponent, Quaternion] | None = None):
-        clean: dict[Exponent, Quaternion] = {}
+        clean: dict[Exponent, Coef] = {}
         if terms:
             for exp, coef in terms.items():
-                if len(exp) != 4 or any(a < 0 or not isinstance(a, int) for a in exp):
-                    raise ValueError(f"bad exponent {exp!r}")
-                if not coef.is_exact:
-                    raise TypeError("QPoly coefficients must use the exact backend")
-                if not coef.is_zero():
-                    clean[tuple(exp)] = coef
+                exp, c = _exponent(exp), _coef(coef)
+                if any(c):
+                    clean[exp] = c
         self._terms = clean
 
     # -- constructors -------------------------------------------------------
@@ -91,10 +91,11 @@ class QPoly:
 
     def terms(self) -> list[tuple[Exponent, Quaternion]]:
         """Terms in canonical (lexicographic exponent) order."""
-        return sorted(self._terms.items(), key=lambda t: t[0])
+        return [(e, Quaternion._new(*self._terms[e])) for e in sorted(self._terms)]
 
     def coeff(self, exp: Exponent) -> Quaternion:
-        return self._terms.get(tuple(exp), ZERO)
+        c = self._terms.get(tuple(exp))
+        return ZERO if c is None else Quaternion._new(*c)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -104,7 +105,7 @@ class QPoly:
         """Max total degree; float('-inf') for the zero polynomial."""
         if not self._terms:
             return float("-inf")
-        return max(sum(e) for e in self._terms)
+        return max(map(sum, self._terms))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPoly):
@@ -132,13 +133,14 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         out = dict(self._terms)
-        for exp, coef in other._terms.items():
+        for exp, c in other._terms.items():
             acc = out.get(exp)
-            s = coef if acc is None else acc + coef
-            if s.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = s
+            if acc is not None:
+                c = (acc[0] + c[0], acc[1] + c[1], acc[2] + c[2], acc[3] + c[3])
+                if not (c[0] or c[1] or c[2] or c[3]):
+                    del out[exp]
+                    continue
+            out[exp] = c
         return _wrap(out)
 
     def __sub__(self, other):
@@ -147,36 +149,51 @@ class QPoly:
         return self + (-other)
 
     def __neg__(self):
-        return _wrap({e: -c for e, c in self._terms.items()})
+        return _wrap({e: (-w, -x, -y, -z) for e, (w, x, y, z) in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, QPoly):
-            out: dict[Exponent, Quaternion] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                    c = c1 * c2
-                    acc = out.get(e)
-                    s = c if acc is None else acc + c
-                    if s.is_zero():
-                        out.pop(e, None)
+            out: dict[Exponent, Coef] = {}
+            get = out.get
+            rhs = other._terms.items()
+            # _hamilton inlined: a call per pair of terms is measurably slower
+            for (p0, p1, p2, p3), (a, b, c, d) in self._terms.items():
+                for (r0, r1, r2, r3), (e, f, g, h) in rhs:
+                    k = (p0 + r0, p1 + r1, p2 + r2, p3 + r3)
+                    w = a * e - b * f - c * g - d * h
+                    x = a * f + b * e + c * h - d * g
+                    y = a * g - b * h + c * e + d * f
+                    z = a * h + b * g - c * f + d * e
+                    acc = get(k)
+                    if acc is None:
+                        # nonzero: quaternions have no zero divisors
+                        out[k] = (w, x, y, z)
+                        continue
+                    w, x, y, z = acc[0] + w, acc[1] + x, acc[2] + y, acc[3] + z
+                    if w or x or y or z:
+                        out[k] = (w, x, y, z)
                     else:
-                        out[e] = s
-            if out and max(sum(e) for e in out) > _degree_cap:
+                        del out[k]
+            # deg p + deg q bounds the product's degree: scan it only when that is over the cap
+            if self.degree + other.degree > _degree_cap and max(map(sum, out)) > _degree_cap:
                 raise DegreeCapExceeded(f"product degree exceeds cap {_degree_cap}")
             return _wrap(out)
         if isinstance(other, Quaternion):
             # coefficient sits on the right: p * c scales from the right
-            return _wrap({e: c * other for e, c in self._terms.items() if not (c * other).is_zero()})
+            s = _coef(other)
+            return _wrap({e: _hamilton(c, s) for e, c in self._terms.items()} if any(s) else {})
         if isinstance(other, (int, Fraction)):
             if not other:
                 return QPoly.zero()
-            return _wrap({e: c * other for e, c in self._terms.items()})
+            s = _real(other)
+            return _wrap({e: (_real(w * s), _real(x * s), _real(y * s), _real(z * s))
+                          for e, (w, x, y, z) in self._terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, Quaternion):
-            return _wrap({e: other * c for e, c in self._terms.items() if not (other * c).is_zero()})
+            s = _coef(other)
+            return _wrap({e: _hamilton(s, c) for e, c in self._terms.items()} if any(s) else {})
         if isinstance(other, (int, Fraction)):
             return self.__mul__(other)
         return NotImplemented
@@ -203,30 +220,27 @@ class QPoly:
         result lives in the backend of ``point``, so evaluating at a float
         point performs the one-way exact-to-float conversion per coefficient.
         """
-        if point.is_exact:
-            acc = ZERO
-            for (a0, a1, a2, a3), coef in self._terms.items():
-                m = point.w**a0 * point.x**a1 * point.y**a2 * point.z**a3
-                acc = acc + coef * m
-            return acc
-        w = x = y = z = 0.0
         pw, px, py, pz = point.w, point.x, point.y, point.z
-        for (a0, a1, a2, a3), coef in self._terms.items():
+        if point.is_exact:
+            w = x = y = z = 0
+            for (a0, a1, a2, a3), (cw, cx, cy, cz) in self._terms.items():
+                m = pw**a0 * px**a1 * py**a2 * pz**a3
+                w, x, y, z = w + cw * m, x + cx * m, y + cy * m, z + cz * m
+            return Quaternion._new(w, x, y, z)
+        w = x = y = z = 0.0
+        for (a0, a1, a2, a3), (cw, cx, cy, cz) in self._terms.items():
             m = pw**a0 * px**a1 * py**a2 * pz**a3
-            w += float(coef.w) * m
-            x += float(coef.x) * m
-            y += float(coef.y) * m
-            z += float(coef.z) * m
+            w += float(cw) * m
+            x += float(cx) * m
+            y += float(cy) * m
+            z += float(cz) * m
         return Quaternion(w, x, y, z)
 
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"exp": list(exp), "coef": coef.to_json()} for exp, coef in self.terms()
-            ]
-        }
+        return {"terms": [{"exp": list(exp), "coef": [str(v) for v in self._terms[exp]]}
+                          for exp in sorted(self._terms)]}
 
     @classmethod
     def from_json(cls, data) -> "QPoly":
@@ -234,7 +248,7 @@ class QPoly:
             raise ValueError('polynomial JSON must be {"terms": [...]}')
         terms: dict[Exponent, Quaternion] = {}
         for item in data["terms"]:
-            exp = tuple(item["exp"])
+            exp = _exponent(item["exp"])
             coef = Quaternion.from_json(item["coef"])
             if not coef.is_exact:
                 raise ValueError(
@@ -245,10 +259,38 @@ class QPoly:
         return cls(terms)
 
 
-def _wrap(terms: dict[Exponent, Quaternion]) -> QPoly:
+def _wrap(terms: dict[Exponent, Coef]) -> QPoly:
     p = QPoly.__new__(QPoly)
     p._terms = terms
     return p
+
+
+def _exponent(exp) -> Exponent:
+    """A validated exponent tuple: four nonnegative ints, never bools."""
+    exp = tuple(exp)
+    if len(exp) != 4 or any(type(a) is not int or a < 0 for a in exp):
+        raise ValueError(f"bad exponent {exp!r}")
+    return exp
+
+
+def _real(s):
+    """An exact real scalar, as an int when it is integral."""
+    return s.numerator if type(s) is Fraction and s.denominator == 1 else s
+
+
+def _coef(q: Quaternion) -> Coef:
+    """The component tuple of an exact quaternion."""
+    if not isinstance(q, Quaternion) or not q.is_exact:
+        raise TypeError("QPoly coefficients must use the exact backend")
+    return (_real(q.w), _real(q.x), _real(q.y), _real(q.z))
+
+
+def _hamilton(p: Coef, q: Coef) -> Coef:
+    """The Hamilton product of two component tuples."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
 
 # -- the quaternion variable and its conjugate ------------------------------------
@@ -298,13 +340,13 @@ def partial(p: QPoly, axis: int) -> QPoly:
     """Formal partial derivative along coordinate ``axis`` (0..3)."""
     if axis not in (0, 1, 2, 3):
         raise ValueError("axis must be 0..3")
-    out: dict[Exponent, Quaternion] = {}
-    for exp, coef in p._terms.items():
+    out: dict[Exponent, Coef] = {}
+    for exp, (w, x, y, z) in p._terms.items():
         a = exp[axis]
         if a:
             e = list(exp)
             e[axis] = a - 1
-            out[tuple(e)] = coef * a
+            out[tuple(e)] = (w * a, x * a, y * a, z * a)
     return _wrap(out)
 
 
@@ -344,33 +386,29 @@ def divide_by_vecnorm_sq(p: QPoly) -> QPoly:
     x1-degree <= 1.  The divisor is monic with central (real) coefficients,
     hence quotient and remainder are unique and a zero remainder is exactly
     divisibility.  Raises NotDivisible carrying the remainder otherwise.
+    Terms sit in buckets by x1-degree, emptied from the top down: peeling a
+    term of x1-degree d only touches bucket d - 2.
     """
-    quot: dict[Exponent, Quaternion] = {}
-    rem = dict(p._terms)
-    while True:
-        best = None
-        for exp in rem:
-            if exp[1] >= 2 and (best is None or exp[1] > best[1]):
-                best = exp
-        if best is None:
-            break
-        coef = rem.pop(best)
-        qexp = (best[0], best[1] - 2, best[2], best[3])
-        acc = quot.get(qexp)
-        quot[qexp] = coef if acc is None else acc + coef
-        for axis in (2, 3):
-            e = list(qexp)
-            e[axis] += 2
-            e = tuple(e)
-            old = rem.get(e)
-            s = -coef if old is None else old - coef
-            if s.is_zero():
-                rem.pop(e, None)
-            else:
-                rem[e] = s
+    buckets: dict[int, dict[Exponent, Coef]] = {}
+    for exp, coef in p._terms.items():
+        buckets.setdefault(exp[1], {})[exp] = coef
+    quot: dict[Exponent, Coef] = {}
+    for d in range(max(buckets, default=0), 1, -1):
+        below = buckets.setdefault(d - 2, {})
+        for (a0, _, a2, a3), c in buckets.pop(d, {}).items():
+            quot[(a0, d - 2, a2, a3)] = c
+            w, x, y, z = c
+            for e in ((a0, d - 2, a2 + 2, a3), (a0, d - 2, a2, a3 + 2)):
+                old = below.get(e, (0, 0, 0, 0))
+                s = (old[0] - w, old[1] - x, old[2] - y, old[3] - z)
+                if s[0] or s[1] or s[2] or s[3]:
+                    below[e] = s
+                else:
+                    del below[e]
+    rem = {**buckets.get(1, {}), **buckets.get(0, {})}
     if rem:
         raise NotDivisible(_wrap(rem))
-    return _wrap({e: c for e, c in quot.items() if not c.is_zero()})
+    return _wrap(quot)
 
 
 def global_v(p: QPoly) -> QPoly:

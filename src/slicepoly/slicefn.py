@@ -46,10 +46,12 @@ class SliceRegularSeries:
         coeffs = list(coeffs)
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
-        if coeffs:
-            exact = coeffs[0].is_exact
-            if any(c.is_exact != exact for c in coeffs):
-                raise TypeError("series coefficients must share one scalar backend")
+        if not all(c.is_exact for c in coeffs) and any(c.is_exact for c in coeffs):
+            # Quaternion's own rule across the series: int coefficients beside
+            # a float become float, a Fraction beside a float raises
+            if any(isinstance(v, Fraction) for c in coeffs for v in (c.w, c.x, c.y, c.z)):
+                raise TypeError("cannot mix float and Fraction coefficients; use to_float()")
+            coeffs = [c.to_float() for c in coeffs]
         self._coeffs = tuple(coeffs)
 
     @property
@@ -194,7 +196,7 @@ def _parse_fn_json(data) -> tuple[int, list[SliceRegularSeries]]:
         raise ValueError('function JSON must be {"order": n, "components": [...]}')
     order = data["order"]
     raw = data["components"]
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise ValueError("order must be a positive integer")
     if not isinstance(raw, list) or len(raw) > order:
         raise ValueError("components must be a list with at most `order` entries")

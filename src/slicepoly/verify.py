@@ -499,6 +499,8 @@ SUITES: dict[str, Callable[[int, int, float, int], SuiteReport]] = {
 
 def run_suites(names: list[str], seed: int = 42, count: int = 12, tol: float = 1e-9,
                nodes: int = 512) -> list[SuiteReport]:
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     if "all" in names:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]

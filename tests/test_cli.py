@@ -1,8 +1,12 @@
+import hashlib
 import json
 import subprocess
 import sys
 
+import pytest
+
 from slicepoly.cli import main
+from slicepoly.slicefn import SlicePolyFn
 
 QBAR_SPEC = '{"order":2,"components":[[0],[[1,0,0,0]]]}'
 QBAR_QSQ_SPEC = '{"order":2,"components":[[0],[[0,0,0,0],[0,0,0,0],[1,0,0,0]]]}'
@@ -59,6 +63,13 @@ class TestApply:
         code, out = run_cli(capsys, "apply", "V", QBAR_SPEC, "--format", "text")
         assert code == 0 and out.strip() == "1*(2, 0, 0, 0)"
 
+    def test_boolean_exponent_exits_one(self, capsys):
+        spec = '{"terms":[{"exp":[true,2,0,0],"coef":[1,0,0,0]}]}'
+        assert run_cli(capsys, "apply", "laplacian", spec) == (1, "")
+
+    def test_boolean_order_exits_one(self, capsys):
+        assert run_cli(capsys, "apply", "V", '{"order":true,"components":[[1]]}') == (1, "")
+
 
 class TestVerify:
     def test_vn_suite_passes(self, capsys):
@@ -89,6 +100,9 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert lines[-1] == "PASS overall"
         assert all(line.startswith("PASS") for line in lines)
+
+    def test_negative_count_exits_one(self, capsys):
+        assert run_cli(capsys, "verify", "appell", "--count", "-5") == (1, "")
 
     def test_determinism(self, capsys):
         _, out1 = run_cli(capsys, "verify", "kernels", "--seed", "5", "--count", "4")
@@ -148,6 +162,16 @@ class TestIntegrate:
             assert code == 0, unit
             assert json.loads(out)["abs_deviation"] < 1e-10
 
+    def test_int_coefficients_beside_a_float_are_promoted(self, capsys):
+        spec = '{"order":2,"components":[[0,0,0.5],[1,[0,1,0,0]]]}'
+        code, out = run_cli(capsys, "integrate", "cauchy", spec, "[0.1,0.2,0,0]")
+        assert code == 0
+        assert json.loads(out)["abs_deviation"] < 1e-12
+
+    def test_fraction_beside_a_float_exits_one(self, capsys):
+        spec = '{"order":1,"components":[["1/2",0,0.5]]}'
+        assert run_cli(capsys, "integrate", "cauchy", spec, "[0.1,0.2,0,0]") == (1, "")
+
     def test_stdin_spec(self, capsys, monkeypatch):
         import io
 
@@ -199,6 +223,52 @@ class TestIntegrateBoundary:
         assert self.check_refused(capsys, "fueter", spec, "[0.1,0,0,0]") == 1
         spec = json.dumps({"order": 200, "components": [[]] * 199 + [[1]]})
         assert self.check_refused(capsys, "cauchy", spec, "[0.1,0,0,0]") == 1
+
+
+F3 = ('{"order":3,"components":[[[1,"1/2",0,-2],[0,1,2,3],[0,0,0,0],[1,0,-1,0]],'
+      '[[2,0,-1,"3/4"],[0,0,0,0],[0,1,0,0],["1/5",0,0,1]],'
+      '[[0,0,0,1],[1,1,0,0],[-1,2,"-5/3",0],[0,0,2,0],[1,0,0,"-1/4"]]]}')
+F2 = ('{"order":2,"components":[[[0,1,0,0],[2,0,0,1],[0,0,0,0],["7/2",1,-1,0],[1,0,2,0]],'
+      '[[3,-1,0,2],[0,0,"1/3",0],[1,1,1,1]]]}')
+F4 = '{"order":4,"components":[[],[[1,0,0,0]],[[0,2,0,-1],[1,0,0,0]],[["-1/2",0,1,0],[0,0,0,0],[2,1,0,0]]]}'
+RAW_MIXED = ('{"terms":[{"exp":[2,1,0,3],"coef":["1/2",0,1,0]},{"exp":[0,2,2,0],"coef":[1,-2,0,"3/7"]},'
+             '{"exp":[1,0,0,1],"coef":[0,0,5,0]},{"exp":[4,0,0,0],"coef":[1,1,1,1]}]}')
+RAW_X1 = '{"terms":[{"exp":[0,1,0,0],"coef":[1,0,0,0]},{"exp":[1,3,0,0],"coef":[0,"2/3",0,1]}]}'
+
+
+def _raw_f3() -> str:
+    return json.dumps(SlicePolyFn.from_json(json.loads(F3)).expand().to_json(), sort_keys=True)
+
+
+class TestApplyDigests:
+    """sha256 of the stdout of fixed apply calls: a change of kernel must not move a byte."""
+
+    CASES = [
+        (("V", F3), 0, "d3084473ab7ef696ed56db80372ff82cd2c842dd51b31c6c2a7cd480f1d0a4f1"),
+        (("tau", F3), 0, "a9f9f2195c9190d654207746b4685aae7c6d6a1a8eeb09aeedb536765011ecdb"),
+        (("c_n", F3), 0, "f529f334b46f7aad0344f27245607c8d6e818ac6df3b13d7937d62546b8e9b16"),
+        (("D", F2), 0, "328b23df64d2c12cfd58a76472cf4792b03801a4c1c9c125f5bdeb7eb241f98e"),
+        (("laplacian", F2), 0, "5dfc08423a5221711d26d9406e0ec21fca62febc105df40db4b0439c6b79cfae"),
+        (("tau", F4), 0, "3fa208d511cacccb6c5b27f73b1b14c93fccf8beb2c3343f2a074c9774e9f572"),
+        (("V", F2, "--format", "text"), 0,
+         "aa50037eb69de4f67cf3375285d52191cea1427b61244bba42a782e41868d87f"),
+        (("V", RAW_X1), 2, "003c1972ddc78f12f30118c091e39209f2f8e002967ef097f0deacd62b0710c7"),
+        (("laplacian", RAW_MIXED), 0, "a95252d2cb092edb25a72760de8b0d80f081e5b77d99667b31d4d2ab824bda55"),
+        (("D", RAW_MIXED), 0, "34cadc72c9bc1603cdb8d816d41c395707a86cc51b72587a0185ecf46d37769a"),
+        # a raw expansion: c_n goes through decompose and its Fraction scaling
+        (("c_n", None, "--order", "3"), 0,
+         "f529f334b46f7aad0344f27245607c8d6e818ac6df3b13d7937d62546b8e9b16"),
+        (("tau", None, "--order", "3"), 0,
+         "a9f9f2195c9190d654207746b4685aae7c6d6a1a8eeb09aeedb536765011ecdb"),
+    ]
+
+    @pytest.mark.parametrize("argv, code, digest", CASES,
+                             ids=[f"{argv[0]}-{i}" for i, (argv, _, _) in enumerate(CASES)])
+    def test_stdout_digest(self, capsys, argv, code, digest):
+        op, spec, *flags = argv
+        got, out = run_cli(capsys, "apply", op, _raw_f3() if spec is None else spec, *flags)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEntryPoint:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from slicepoly import qpoly
 from slicepoly.errors import DegreeCapExceeded, NotDivisible, NotFueterRegular
@@ -24,7 +25,7 @@ from slicepoly.qpoly import (
     set_degree_cap,
     tau_n,
 )
-from slicepoly.quat import E1, E2, E3, ONE, Quaternion, quatf
+from slicepoly.quat import E1, E2, E3, ONE, ZERO, Quaternion, quatf
 
 from helpers import naive_mul, naive_poly_eval, rand_qpoly, rand_quat, rand_series
 
@@ -379,3 +380,72 @@ class TestJson:
     def test_rejects_float_backed_construction(self):
         with pytest.raises(TypeError):
             QPoly({(0, 0, 0, 0): quatf(1.0)})
+
+    def test_rejects_boolean_exponents(self):
+        with pytest.raises(ValueError):
+            QPoly.from_json({"terms": [{"exp": [True, 2, 0, 0], "coef": [1, 0, 0, 0]}]})
+        with pytest.raises(ValueError):
+            QPoly({(0, False, 0, 0): ONE})
+
+
+# -- the component-tuple kernel against the naive basis table ---------------------
+
+int_scalars = st.integers(-4, 4)
+exact_scalars = st.one_of(int_scalars, st.fractions(-3, 3, max_denominator=4))
+
+
+def polys(scalars=exact_scalars, max_x1=3):
+    # few, low exponents so that products collide and cancel often
+    exps = st.tuples(st.integers(0, 2), st.integers(0, max_x1), st.integers(0, 2), st.integers(0, 2))
+    coefs = st.builds(Quaternion, scalars, scalars, scalars, scalars)
+    return st.dictionaries(exps, coefs, max_size=5).map(QPoly)
+
+
+# (x0 + x1 e1)(x0 - x1 e1) = x0^2 + x1^2: the mixed terms cancel
+_LINEAR = QPoly({(1, 0, 0, 0): ONE, (0, 1, 0, 0): E1})
+_LINEAR_CONJ = QPoly({(1, 0, 0, 0): ONE, (0, 1, 0, 0): -E1})
+
+
+class TestTupleKernel:
+    @given(polys(), polys())
+    @example(_LINEAR, _LINEAR_CONJ)
+    def test_product_matches_naive_table(self, p, r):
+        expected: dict = {}
+        for e1, c1 in p.terms():
+            for e2, c2 in r.terms():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                expected[e] = expected.get(e, ZERO) + naive_mul(c1, c2)
+        prod = p * r
+        assert all(not c.is_zero() for _, c in prod.terms())
+        assert {e for e, _ in prod.terms()} == {e for e, c in expected.items() if not c.is_zero()}
+        for e, c in expected.items():
+            assert prod.coeff(e) == c
+
+    @given(polys(), exact_scalars)
+    @example(QPoly.constant(Quaternion(2, -4, 0, 6)), Fraction(-1, 2))
+    @example(QPoly.constant(Quaternion(Fraction(1, 3), 1, 0, 0)), Fraction(-6, 2))
+    def test_real_scaling_never_stores_integral_fractions(self, p, s):
+        q = p * s
+        assert all(type(v) is int or v.denominator != 1
+                   for _, c in q.terms() for v in (c.w, c.x, c.y, c.z))
+        for e, c in p.terms():
+            assert q.coeff(e) == c * s
+
+    @given(polys())
+    def test_division_undoes_the_divisor(self, p):
+        assert divide_by_vecnorm_sq(p * qpoly.VEC_NORM_SQ_POLY) == p
+
+    @given(polys(), polys(max_x1=1))
+    @example(QPoly.zero(), QPoly.variable(1))
+    def test_not_divisible_carries_the_unique_remainder(self, r, s):
+        p = qpoly.VEC_NORM_SQ_POLY * r + s
+        if s.is_zero():
+            assert divide_by_vecnorm_sq(p) == r
+            return
+        with pytest.raises(NotDivisible) as exc:
+            divide_by_vecnorm_sq(p)
+        rem = exc.value.remainder
+        assert all(e[1] <= 1 for e, _ in rem.terms())
+        assert rem == s
+        quot = divide_by_vecnorm_sq(p - rem)
+        assert quot == r and quot * qpoly.VEC_NORM_SQ_POLY + rem == p
