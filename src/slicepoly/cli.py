@@ -14,14 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import qpoly, quad
 from .errors import SlicePolyError
 from .qpoly import QPoly
 from .quat import Quaternion, UnitImaginary
-from .slicefn import RightSlicePolyFn, SlicePolyFn, decompose
-from .verify import run_suites
+from .slicefn import MAX_ORDER, RightSlicePolyFn, SlicePolyFn, SliceRegularSeries, decompose
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,6 +80,8 @@ def _cmd_apply(args) -> int:
     data = _read_spec(args.spec)
     obj = _fn_or_poly(data)
     is_fn = isinstance(obj, SlicePolyFn)
+    if args.order is not None and not 1 <= args.order <= MAX_ORDER:
+        raise ValueError(f"--order must be an integer in [1, {MAX_ORDER}]")
     order = args.order if args.order is not None else (obj.order if is_fn else None)
 
     if args.op in _SIMPLE_OPS:
@@ -103,6 +105,9 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here, so that apply and integrate do not load the suites at start-up
+    from .verify import run_suites
+
     reports = run_suites([args.suite], seed=args.seed, count=args.count,
                          tol=args.tol, nodes=args.nodes)
     overall = all(r.passed for r in reports)
@@ -127,6 +132,14 @@ def _cmd_verify(args) -> int:
 # -- integrate --------------------------------------------------------------------
 
 
+def _exact(f: SlicePolyFn) -> SlicePolyFn:
+    """The same function over the rationals: Fraction(x) is the exact value of a binary64 x."""
+    if f.is_exact:
+        return f
+    return SlicePolyFn([SliceRegularSeries([Quaternion(*map(Fraction, (c.w, c.x, c.y, c.z)))
+                                            for c in comp.coeffs]) for comp in f.components])
+
+
 def _cmd_integrate(args) -> int:
     data = _read_spec(args.spec)
     f = SlicePolyFn.from_json(data)
@@ -147,7 +160,7 @@ def _cmd_integrate(args) -> int:
             reference = f.evaluate(q)
         else:
             value = quad.fueter_integral(f, q, path)
-            reference = qpoly.tau_n(f.expand(), f.order).evaluate(q)
+            reference = qpoly.tau_n(_exact(f).expand(), f.order).evaluate(q)
 
     deviation = abs(value - reference)
     payload = {
@@ -175,7 +188,7 @@ def _build_parser() -> _Parser:
     p_apply.add_argument("op", choices=("G", "V", "D", "Dbar", "laplacian", "tau", "c_n"))
     p_apply.add_argument("spec", help="inline JSON, a file path, or - for stdin")
     p_apply.add_argument("--order", type=int, default=None,
-                         help="order for tau/c_n on raw polynomial specs")
+                         help=f"order for tau/c_n on raw polynomial specs (at most {MAX_ORDER})")
     common(p_apply)
     p_apply.set_defaults(func=_cmd_apply)
 

@@ -3,7 +3,9 @@
 The kernels are rational, not polynomial, so they are never built
 symbolically; every structural claim about them is checked through the
 finite-difference oracle or through quadrature.  All arguments must be
-float-backed quaternions.
+float-backed quaternions.  They compute on component floats in the operation
+order of the Quaternion route ``(s - q.conjugate()) * D.inverse()``, so each
+value is bit-identical to it, and build one Quaternion per result.
 """
 
 from __future__ import annotations
@@ -17,20 +19,32 @@ from .quat import Quaternion
 SINGULAR_GUARD = 1e-9
 
 
-def _require_float(q: Quaternion, name: str) -> None:
-    if q.is_exact:
-        raise TypeError(f"{name} must be float-backed; call to_float() first")
+def _mul(p: tuple, r: tuple) -> tuple:
+    a, b, c, d = p
+    e, f, g, h = r
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
 
-def _check_off_sphere(s: Quaternion, q: Quaternion) -> None:
-    gap = abs(q.w - s.w) + abs(math.sqrt(q.vec_norm_sq()) - math.sqrt(s.vec_norm_sq()))
+def _parts(s: Quaternion, q: Quaternion) -> tuple[tuple, tuple]:
+    """(s - conj q) and D(s, q)^(-1), with D = s^2 - 2 Re(q) s + |q|^2, as component tuples."""
+    sw, sx, sy, sz = s.w, s.x, s.y, s.z
+    qw, qx, qy, qz = q.w, q.x, q.y, q.z
+    if type(sw) is not float or type(qw) is not float:
+        raise TypeError("s and q must be float-backed; call to_float() first")
+    gap = abs(qw - sw) + abs(math.sqrt(qx * qx + qy * qy + qz * qz)
+                            - math.sqrt(sx * sx + sy * sy + sz * sz))
     if gap < SINGULAR_GUARD:
         raise OnSingularSphere(f"q={q} lies on the singular sphere of s={s}")
-
-
-def _denominator(s: Quaternion, q: Quaternion) -> Quaternion:
-    # s^2 - 2 Re(q) s + |q|^2, a quaternion that commutes with itself
-    return s * s - s * (2.0 * q.w) + Quaternion(q.norm_sq(), 0.0, 0.0, 0.0)
+    # s*s - s*(2 Re q) + (|q|^2, 0.0, 0.0, 0.0), rounded step by step as the operators do
+    t = 2.0 * qw
+    dw = sw * sw - sx * sx - sy * sy - sz * sz - sw * t + (qw * qw + qx * qx + qy * qy + qz * qz)
+    dx = sw * sx + sx * sw + sy * sz - sz * sy - sx * t + 0.0
+    dy = sw * sy - sx * sz + sy * sw + sz * sx - sy * t + 0.0
+    dz = sw * sz + sx * sy - sy * sx + sz * sw - sz * t + 0.0
+    r = 1.0 / (dw * dw + dx * dx + dy * dy + dz * dz)  # D's inverse is conj(D) * r
+    # s - conj q: x - (-y) is x + y in IEEE arithmetic
+    return (sw - qw, sx + qx, sy + qy, sz + qz), (dw * r, -dx * r, -dy * r, -dz * r)
 
 
 def s_inv(s: Quaternion, q: Quaternion) -> Quaternion:
@@ -39,10 +53,7 @@ def s_inv(s: Quaternion, q: Quaternion) -> Quaternion:
     Left slice regular in q, right slice regular in s; reduces to (s - q)^(-1)
     when both arguments share a slice.
     """
-    _require_float(s, "s")
-    _require_float(q, "q")
-    _check_off_sphere(s, q)
-    return (s - q.conjugate()) * _denominator(s, q).inverse()
+    return Quaternion._new(*_mul(*_parts(s, q)))
 
 
 def delta_s_inv(s: Quaternion, q: Quaternion) -> Quaternion:
@@ -50,11 +61,9 @@ def delta_s_inv(s: Quaternion, q: Quaternion) -> Quaternion:
 
     Fueter regular in q away from the singular sphere.
     """
-    _require_float(s, "s")
-    _require_float(q, "q")
-    _check_off_sphere(s, q)
-    inv = _denominator(s, q).inverse()
-    return (s - q.conjugate()) * (inv * inv) * -4.0
+    num, inv = _parts(s, q)
+    w, x, y, z = _mul(num, _mul(inv, inv))
+    return Quaternion._new(w * -4.0, x * -4.0, y * -4.0, z * -4.0)
 
 
 def f_j(w: Quaternion, q: Quaternion, j: int) -> Quaternion:
@@ -64,7 +73,8 @@ def f_j(w: Quaternion, q: Quaternion, j: int) -> Quaternion:
     """
     if j < 0:
         raise ValueError("kernel index must be nonnegative")
-    base = s_inv(w, q)
+    a, b, c, d = _mul(*_parts(w, q))
     if j == 0:
-        return base
-    return base * ((w.w - q.w) ** j / math.factorial(j))
+        return Quaternion._new(a, b, c, d)
+    t = (w.w - q.w) ** j / math.factorial(j)
+    return Quaternion._new(a * t, b * t, c * t, d * t)

@@ -234,7 +234,7 @@ class QPoly:
             x += float(cx) * m
             y += float(cy) * m
             z += float(cz) * m
-        return Quaternion(w, x, y, z)
+        return Quaternion._new(w, x, y, z)
 
     # -- serialization -----------------------------------------------------------
 

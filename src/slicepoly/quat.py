@@ -26,6 +26,8 @@ DEFAULT_TOL = 1e-12
 
 _UNIT_ULPS = 8 * sys.float_info.epsilon
 
+_MIXED = "mixed scalar backends; convert explicitly with to_float()"
+
 
 def exact_sqrt(value: Fraction | int) -> Fraction:
     """Square root of a nonnegative rational, or NoExactSqrt if irrational."""
@@ -72,13 +74,13 @@ class Quaternion:
 
     @classmethod
     def _new(cls, w, x, y, z) -> "Quaternion":
-        # trusted fast path for arithmetic results: components are already
-        # homogeneous, skip normalization
-        q = cls.__new__(cls)
-        object.__setattr__(q, "w", w)
-        object.__setattr__(q, "x", x)
-        object.__setattr__(q, "y", y)
-        object.__setattr__(q, "z", z)
+        # trusted fast path for arithmetic results: components are already homogeneous,
+        # so skip normalization; the slots' own descriptors bypass the frozen __setattr__
+        q = object.__new__(cls)
+        _set_w(q, w)
+        _set_x(q, x)
+        _set_y(q, y)
+        _set_z(q, z)
         return q
 
     @property
@@ -89,61 +91,50 @@ class Quaternion:
         """Explicit one-way conversion to the binary64 backend."""
         if not self.is_exact:
             return self
-        return Quaternion(float(self.w), float(self.x), float(self.y), float(self.z))
-
-    def _same_backend(self, other: "Quaternion") -> None:
-        if self.is_exact != other.is_exact:
-            raise TypeError("mixed scalar backends; convert explicitly with to_float()")
+        return Quaternion._new(float(self.w), float(self.x), float(self.y), float(self.z))
 
     # -- ring structure ----------------------------------------------------
+    # a value's components share one backend, so a type test on w tells it
 
     def __add__(self, other):
         if not isinstance(other, Quaternion):
             return NotImplemented
-        self._same_backend(other)
-        return Quaternion._new(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
+        a, e = self.w, other.w
+        if (type(a) is float) is not (type(e) is float):
+            raise TypeError(_MIXED)
+        return Quaternion._new(a + e, self.x + other.x, self.y + other.y, self.z + other.z)
 
     def __sub__(self, other):
         if not isinstance(other, Quaternion):
             return NotImplemented
-        self._same_backend(other)
-        return Quaternion._new(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
+        a, e = self.w, other.w
+        if (type(a) is float) is not (type(e) is float):
+            raise TypeError(_MIXED)
+        return Quaternion._new(a - e, self.x - other.x, self.y - other.y, self.z - other.z)
 
     def __neg__(self):
         return Quaternion._new(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other):
+        a, b, c, d = self.w, self.x, self.y, self.z
         if isinstance(other, Quaternion):
-            self._same_backend(other)
-            a, b, c, d = self.w, self.x, self.y, self.z
             e, f, g, h = other.w, other.x, other.y, other.z
+            if (type(a) is float) is not (type(e) is float):
+                raise TypeError(_MIXED)
             return Quaternion._new(
                 a * e - b * f - c * g - d * h,
                 a * f + b * e + c * h - d * g,
                 a * g - b * h + c * e + d * f,
                 a * h + b * g - c * f + d * e,
             )
-        if isinstance(other, (int, Fraction, float)):
-            s = self._coerce_scalar(other)
-            return Quaternion._new(self.w * s, self.x * s, self.y * s, self.z * s)
+        if isinstance(other, (float, int, Fraction)):
+            # an int scales either backend; a float or Fraction must match it
+            if (type(a) is float) is not isinstance(other, float) and not isinstance(other, int):
+                raise TypeError(_MIXED)
+            return Quaternion._new(a * other, b * other, c * other, d * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        # real scalars commute with everything
-        if isinstance(other, (int, Fraction, float)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def _coerce_scalar(self, s):
-        if isinstance(s, int):
-            return s
-        if self.is_exact:
-            if isinstance(s, Fraction):
-                return s
-            raise TypeError("float scalar applied to an exact quaternion")
-        if isinstance(s, float):
-            return s
-        raise TypeError("exact scalar applied to a float quaternion")
+    __rmul__ = __mul__  # real scalars commute; a Quaternion left operand never gets here
 
     def __pow__(self, n: int) -> "Quaternion":
         if not isinstance(n, int) or n < 0:
@@ -174,8 +165,7 @@ class Quaternion:
         return math.sqrt(float(self.norm_sq()))
 
     def vec(self) -> "Quaternion":
-        zero = 0 if self.is_exact else 0.0
-        return Quaternion._new(zero, self.x, self.y, self.z)
+        return Quaternion._new(0 if self.is_exact else 0.0, self.x, self.y, self.z)
 
     def is_zero(self) -> bool:
         return not (self.w or self.x or self.y or self.z)
@@ -184,13 +174,10 @@ class Quaternion:
         n2 = self.norm_sq()
         if not n2:
             raise ZeroDivisionError("zero quaternion has no inverse")
-        if self.is_exact:
-            return self.conjugate() * (Fraction(1) / n2)
-        return self.conjugate() * (1.0 / n2)
+        return self.conjugate() * ((Fraction(1) if self.is_exact else 1.0) / n2)
 
     def approx_eq(self, other: "Quaternion", tol: float = DEFAULT_TOL) -> bool:
-        d = self.to_float() - other.to_float()
-        return abs(d) <= tol
+        return abs(self.to_float() - other.to_float()) <= tol
 
     # -- serialization -----------------------------------------------------
 
@@ -212,11 +199,16 @@ class Quaternion:
         return f"({self.w}, {self.x}, {self.y}, {self.z})"
 
 
+_set_w, _set_x, _set_y, _set_z = (Quaternion.__dict__[n].__set__ for n in "wxyz")
+
+
 def _scalar_from_json(c) -> Scalar:
     if isinstance(c, str):
         return Fraction(c)
     if isinstance(c, bool) or not isinstance(c, (int, float)):
         raise ValueError(f"bad scalar in quaternion JSON: {c!r}")
+    if isinstance(c, float) and not math.isfinite(c):
+        raise ValueError(f"non-finite scalar in quaternion JSON: {c!r}")
     return c
 
 
@@ -247,9 +239,8 @@ class UnitImaginary:
         if q.is_exact:
             if q.w != 0 or q.vec_norm_sq() != 1:
                 raise ValueError(f"{q} is not an exact imaginary unit")
-        else:
-            if not (abs(q.w) <= _UNIT_ULPS and abs(q.vec_norm_sq() - 1.0) <= _UNIT_ULPS):
-                raise ValueError(f"{q} is not an imaginary unit within 8 ulps")
+        elif not (abs(q.w) <= _UNIT_ULPS and abs(q.vec_norm_sq() - 1.0) <= _UNIT_ULPS):
+            raise ValueError(f"{q} is not an imaginary unit within 8 ulps")
 
     @classmethod
     def from_vector(cls, x: float, y: float, z: float) -> "UnitImaginary":
@@ -284,8 +275,6 @@ class SliceCoords:
     I: UnitImaginary
 
     def recompose(self) -> Quaternion:
-        if isinstance(self.x, float):
-            return Quaternion(self.x, 0.0, 0.0, 0.0) + self.I.u * self.y
         return Quaternion(self.x, 0, 0, 0) + self.I.u * self.y
 
 

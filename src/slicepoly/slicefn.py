@@ -191,13 +191,17 @@ class SlicePolyFn:
         return cls(comps)
 
 
+#: largest declared order a function spec may carry; padding costs O(order)
+MAX_ORDER = 4096
+
+
 def _parse_fn_json(data) -> tuple[int, list[SliceRegularSeries]]:
     if not isinstance(data, dict) or "order" not in data or "components" not in data:
         raise ValueError('function JSON must be {"order": n, "components": [...]}')
     order = data["order"]
     raw = data["components"]
-    if type(order) is not int or order < 1:
-        raise ValueError("order must be a positive integer")
+    if type(order) is not int or not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be an integer in [1, {MAX_ORDER}]")
     if not isinstance(raw, list) or len(raw) > order:
         raise ValueError("components must be a list with at most `order` entries")
     comps = [SliceRegularSeries.from_json(c) for c in raw]

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from slicepoly.cli import main
-from slicepoly.slicefn import SlicePolyFn
+from slicepoly.slicefn import MAX_ORDER, SlicePolyFn
 
 QBAR_SPEC = '{"order":2,"components":[[0],[[1,0,0,0]]]}'
 QBAR_QSQ_SPEC = '{"order":2,"components":[[0],[[0,0,0,0],[0,0,0,0],[1,0,0,0]]]}'
@@ -168,6 +168,19 @@ class TestIntegrate:
         assert code == 0
         assert json.loads(out)["abs_deviation"] < 1e-12
 
+    def test_fueter_float_spec(self, capsys):
+        # the reference expands the exact rational value of each binary64
+        # coefficient, so it matches the same spec written with fractions
+        floats = '{"order":2,"components":[[0,0,0.5,1],[1,[0,1,0,0],0.25,-0.75]]}'
+        exact = '{"order":2,"components":[[0,0,"1/2",1],[1,[0,1,0,0],"1/4","-3/4"]]}'
+        code, out = run_cli(capsys, "integrate", "fueter", floats, "[0.1,0.2,0,0]")
+        assert code == 0
+        assert (code, out) == run_cli(capsys, "integrate", "fueter", exact, "[0.1,0.2,0,0]")
+        assert json.loads(out)["abs_deviation"] < 1e-12
+        spec = '{"order":2,"components":[[0,0,0.5],[1,[0,1,0,0]]]}'
+        code, out = run_cli(capsys, "integrate", "fueter", spec, "[0.1,0.2,0,0]")
+        assert code == 0 and json.loads(out)["abs_deviation"] < 1e-12
+
     def test_fraction_beside_a_float_exits_one(self, capsys):
         spec = '{"order":1,"components":[["1/2",0,0.5]]}'
         assert run_cli(capsys, "integrate", "cauchy", spec, "[0.1,0.2,0,0]") == (1, "")
@@ -224,6 +237,28 @@ class TestIntegrateBoundary:
         spec = json.dumps({"order": 200, "components": [[]] * 199 + [[1]]})
         assert self.check_refused(capsys, "cauchy", spec, "[0.1,0,0,0]") == 1
 
+    def test_declared_order_bound(self, capsys):
+        for order in (MAX_ORDER + 1, 10**6):
+            spec = json.dumps({"order": order, "components": [[1]]})
+            assert run_cli(capsys, "apply", "V", spec) == (1, "")
+            assert self.check_refused(capsys, "cauchy", spec, "[0.1,0,0,0]", codes=(1,)) == 1
+        spec = json.dumps({"order": MAX_ORDER, "components": [[1]]})
+        assert run_cli(capsys, "apply", "V", spec) == (0, '{"terms": []}\n')
+        for op in ("tau", "c_n"):
+            for order in ("0", str(MAX_ORDER + 1)):
+                assert run_cli(capsys, "apply", op, X1_POLY_SPEC, "--order", order) == (1, "")
+
+    def test_non_finite_coefficients(self, capsys):
+        for bad in ("NaN", "Infinity", "-Infinity"):
+            spec = '{"order":1,"components":[[[%s,0,0,0]]]}' % bad
+            for kind in ("cauchy", "fueter"):
+                assert run_cli(capsys, "integrate", kind, spec, "[0.1,0,0,0]") == (1, "")
+            assert run_cli(capsys, "integrate", "residual", QBAR_SPEC,
+                           "--right-spec", spec) == (1, "")
+            assert run_cli(capsys, "integrate", "cauchy", QBAR_SPEC,
+                           "[0.1,%s,0,0]" % bad) == (1, "")
+            assert run_cli(capsys, "apply", "V", spec) == (1, "")
+
 
 F3 = ('{"order":3,"components":[[[1,"1/2",0,-2],[0,1,2,3],[0,0,0,0],[1,0,-1,0]],'
       '[[2,0,-1,"3/4"],[0,0,0,0],[0,1,0,0],["1/5",0,0,1]],'
@@ -268,6 +303,23 @@ class TestApplyDigests:
         op, spec, *flags = argv
         got, out = run_cli(capsys, "apply", op, _raw_f3() if spec is None else spec, *flags)
         assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestVerifyDigests:
+    """sha256 of the stdout of fixed verify calls: pins the float kernels' max_error bytes."""
+
+    CASES = [
+        (("kernels", "--seed", "7", "--count", "20"),
+         "0c89a6882325a6907e70b57324e607b98e285b7b3273f9df4cf06e580985de13"),
+        (("quadrature", "--seed", "7", "--count", "3"),
+         "c1458281d0c06d96da2d3928de6b9c7926894ec3ba0f02e985ac990b55478919"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", CASES, ids=[argv[0] for argv, _ in CASES])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out = run_cli(capsys, "verify", *argv)
+        assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -2,10 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from slicepoly import kernels, oracle
 from slicepoly.errors import OnSingularSphere
-from slicepoly.kernels import delta_s_inv, f_j, s_inv
+from slicepoly.kernels import SINGULAR_GUARD, delta_s_inv, f_j, s_inv
 from slicepoly.quat import Quaternion, quatf
 
 from helpers import rand_circle_node, rand_point, rand_unit
@@ -160,3 +161,67 @@ class TestFj:
             second = oracle.fd_slice_cr(d1, u.u, w, h, side="right")
             assert abs(second) < 5e-3
             assert abs(d1(w)) > 1e-2
+
+
+# -- bit identity with the Quaternion-operator formulas ---------------------------
+
+
+def _ref_parts(s, q):
+    gap = abs(q.w - s.w) + abs(math.sqrt(q.vec_norm_sq()) - math.sqrt(s.vec_norm_sq()))
+    if gap < SINGULAR_GUARD:
+        raise OnSingularSphere("reference guard")
+    d = s * s - s * (2.0 * q.w) + Quaternion(q.norm_sq(), 0.0, 0.0, 0.0)
+    return s - q.conjugate(), d.inverse()
+
+
+def _ref_kernel(kind, s, q):
+    num, inv = _ref_parts(s, q)
+    if kind == "delta_s_inv":
+        return num * (inv * inv) * -4.0
+    base = num * inv
+    j = int(kind[-1]) if kind.startswith("f_") else 0
+    return base if j == 0 else base * ((s.w - q.w) ** j / math.factorial(j))
+
+
+def _kernel(kind, s, q):
+    if kind.startswith("f_"):
+        return f_j(s, q, int(kind[-1]))
+    return getattr(kernels, kind)(s, q)
+
+
+def _bits(fn, *args):
+    """Component reprs (so -0.0 differs from 0.0), or the exception type raised."""
+    try:
+        r = fn(*args)
+    except (OnSingularSphere, ZeroDivisionError) as exc:
+        return type(exc)
+    return tuple(repr(v) for v in (r.w, r.x, r.y, r.z))
+
+
+_comp = st.floats(-3.0, 3.0, allow_nan=False)
+_fquat = st.builds(Quaternion, _comp, _comp, _comp, _comp)
+_kinds = st.sampled_from(["s_inv", "delta_s_inv", "f_0", "f_1", "f_2", "f_3"])
+# just outside and just inside the guard: |Re q - Re s| = 1.5 and 0.5 guards
+_OUTSIDE = Quaternion(1.0 + 1.5 * SINGULAR_GUARD, 0.0, 1.0, 0.0)
+_INSIDE = Quaternion(1.0 + 0.5 * SINGULAR_GUARD, 0.0, 1.0, 0.0)
+
+
+class TestBitIdentity:
+    @given(_kinds, _fquat, _fquat)
+    @example("s_inv", quatf(0.7, 1.1, -0.4, 0.2), Quaternion(0.3, -0.0, -0.0, -0.0))
+    @example("delta_s_inv", quatf(-1.2, 0.0, 0.9), Quaternion(0.3, -0.0, -0.0, -0.0))
+    @example("f_2", quatf(1.0, 1.0), Quaternion(-0.5, -0.0, -0.0, -0.0))
+    @example("s_inv", quatf(1.0, 1.0), _OUTSIDE)
+    @example("delta_s_inv", quatf(1.0, 1.0), _OUTSIDE)
+    @example("f_3", quatf(1.0, 1.0), _OUTSIDE)
+    @example("s_inv", quatf(1.0, 1.0), _INSIDE)
+    @example("f_1", quatf(1.0, 1.0), _INSIDE)
+    def test_matches_quaternion_route(self, kind, s, q):
+        assert _bits(_kernel, kind, s, q) == _bits(_ref_kernel, kind, s, q)
+
+    def test_guard_boundary(self):
+        s = quatf(1.0, 1.0)
+        for kind in ("s_inv", "delta_s_inv", "f_0", "f_2"):
+            assert isinstance(_bits(_kernel, kind, s, _OUTSIDE), tuple)
+            with pytest.raises(OnSingularSphere):
+                _kernel(kind, s, _INSIDE)

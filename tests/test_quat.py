@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -222,6 +223,50 @@ class TestSerialization:
             Quaternion.from_json([1, 2, 3])
         with pytest.raises(ValueError):
             Quaternion.from_json([1, 2, 3, None])
+
+    def test_non_finite_scalars_refused(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                Quaternion.from_json([0.5, 0, bad, 0])
+            with pytest.raises(ValueError):
+                Quaternion.from_json(bad)
+
+
+class TestFastPaths:
+    """The lean arithmetic keeps the backend rules and the frozen value semantics."""
+
+    def test_mixed_backend_sums_and_products_raise(self):
+        f, e = quatf(1.5, -2.0, 0.0, 0.25), Quaternion(1, Fraction(1, 3), 0, -2)
+        for a, b in ((f, e), (e, f)):
+            for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q):
+                with pytest.raises(TypeError):
+                    op(a, b)
+
+    def test_mixed_backend_scalars_raise(self):
+        f, e = quatf(1.5, -2.0, 0.0, 0.25), Quaternion(1, Fraction(1, 3), 0, -2)
+        for bad in (lambda: f * Fraction(1, 2), lambda: Fraction(1, 2) * f,
+                    lambda: e * 0.5, lambda: 0.5 * e):
+            with pytest.raises(TypeError):
+                bad()
+        # ints scale either backend, from either side
+        assert f * 2 == 2 * f == quatf(3.0, -4.0, 0.0, 0.5)
+        assert e * 3 == 3 * e == Quaternion(3, 1, 0, -6)
+
+    @given(float_quats)
+    def test_new_is_frozen_and_equals_constructor(self, q):
+        fast = Quaternion._new(q.w, q.x, q.y, q.z)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.w = 1.0
+        assert fast == q and hash(fast) == hash(q)
+        assert fast * 2.0 == Quaternion(q.w * 2.0, q.x * 2.0, q.y * 2.0, q.z * 2.0)
+
+    @given(st.builds(Quaternion, ints, ints, ints, ints)
+           | st.builds(Quaternion, *[st.fractions(max_denominator=10**6)] * 4))
+    def test_to_float_componentwise(self, q):
+        f = q.to_float()
+        assert not f.is_exact
+        assert (f.w, f.x, f.y, f.z) == tuple(float(c) for c in (q.w, q.x, q.y, q.z))
+        assert all(type(c) is float for c in (f.w, f.x, f.y, f.z))
 
 
 def test_pow_matches_repeated_mul():
