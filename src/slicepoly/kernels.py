@@ -13,17 +13,10 @@ from __future__ import annotations
 import math
 
 from .errors import OnSingularSphere
-from .quat import Quaternion
+from .quat import Quaternion, _hamilton
 
 #: evaluation closer than this to the singular sphere raises OnSingularSphere
 SINGULAR_GUARD = 1e-9
-
-
-def _mul(p: tuple, r: tuple) -> tuple:
-    a, b, c, d = p
-    e, f, g, h = r
-    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
 
 def _parts(s: Quaternion, q: Quaternion) -> tuple[tuple, tuple]:
@@ -53,7 +46,7 @@ def s_inv(s: Quaternion, q: Quaternion) -> Quaternion:
     Left slice regular in q, right slice regular in s; reduces to (s - q)^(-1)
     when both arguments share a slice.
     """
-    return Quaternion._new(*_mul(*_parts(s, q)))
+    return Quaternion._new(*_hamilton(*_parts(s, q)))
 
 
 def delta_s_inv(s: Quaternion, q: Quaternion) -> Quaternion:
@@ -62,7 +55,7 @@ def delta_s_inv(s: Quaternion, q: Quaternion) -> Quaternion:
     Fueter regular in q away from the singular sphere.
     """
     num, inv = _parts(s, q)
-    w, x, y, z = _mul(num, _mul(inv, inv))
+    w, x, y, z = _hamilton(num, _hamilton(inv, inv))
     return Quaternion._new(w * -4.0, x * -4.0, y * -4.0, z * -4.0)
 
 
@@ -73,7 +66,7 @@ def f_j(w: Quaternion, q: Quaternion, j: int) -> Quaternion:
     """
     if j < 0:
         raise ValueError("kernel index must be nonnegative")
-    a, b, c, d = _mul(*_parts(w, q))
+    a, b, c, d = _hamilton(*_parts(w, q))
     if j == 0:
         return Quaternion._new(a, b, c, d)
     t = (w.w - q.w) ** j / math.factorial(j)

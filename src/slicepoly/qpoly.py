@@ -11,9 +11,10 @@ On top of the ring structure the module provides the operator calculus:
 coordinate partials, the Laplacian, the Cauchy-Fueter operator and its
 conjugate (imaginary units multiply derivatives from the left), the global
 operator ``G = |vec|^2 d/dx0 + vec * sum x_l d/dx_l``, its normalization
-``V = G / |vec|^2`` realized as exact division, the iterated map
-``tau_n = laplacian o V^(n-1)``, and the componentwise map
-``c_n = sum x0^k laplacian(f_k)``.
+``V = G / |vec|^2`` realized as exact division, its powers ``V^k``, the
+iterated map ``tau_n = laplacian o V^(n-1)``, and the componentwise map
+``c_n = sum x0^k laplacian(f_k)``.  Products and powers refuse a total degree
+above the constant ``DEGREE_CAP`` before they do any work.
 
 Values are immutable after construction and all operations are pure.
 """
@@ -25,24 +26,15 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeCapExceeded, NotDivisible, NotFueterRegular
-from .quat import E1, E2, E3, Quaternion, ZERO
+from .quat import E1, E2, E3, Quaternion, ZERO, _hamilton
 
 Exponent = tuple[int, int, int, int]
 Coef = tuple  # an exact coefficient as its components (w, x, y, z), ints or Fractions
 
 _ZERO_EXP: Exponent = (0, 0, 0, 0)
 
-# hard bound on total degree; protects memory when powers/products run away
-_degree_cap = 64
-
-
-def set_degree_cap(cap: int) -> int:
-    """Set the total-degree cap for products and powers; returns the old cap."""
-    global _degree_cap
-    if cap < 1:
-        raise ValueError("degree cap must be positive")
-    old, _degree_cap = _degree_cap, cap
-    return old
+#: hard bound on the total degree of products and powers; protects memory when they run away
+DEGREE_CAP = 64
 
 
 class QPoly:
@@ -153,6 +145,8 @@ class QPoly:
 
     def __mul__(self, other):
         if isinstance(other, QPoly):
+            # H[x0..x3] has no zero divisors, so deg(pq) = deg p + deg q exactly
+            _refuse_degree(self.degree + other.degree)
             out: dict[Exponent, Coef] = {}
             get = out.get
             rhs = other._terms.items()
@@ -174,9 +168,6 @@ class QPoly:
                         out[k] = (w, x, y, z)
                     else:
                         del out[k]
-            # deg p + deg q bounds the product's degree: scan it only when that is over the cap
-            if self.degree + other.degree > _degree_cap and max(map(sum, out)) > _degree_cap:
-                raise DegreeCapExceeded(f"product degree exceeds cap {_degree_cap}")
             return _wrap(out)
         if isinstance(other, Quaternion):
             # coefficient sits on the right: p * c scales from the right
@@ -201,6 +192,8 @@ class QPoly:
     def __pow__(self, n: int) -> "QPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers are defined for nonnegative integers")
+        if n and self._terms:
+            _refuse_degree(n * self.degree)
         result = QPoly.one()
         base = self
         while n:
@@ -265,6 +258,12 @@ def _wrap(terms: dict[Exponent, Coef]) -> QPoly:
     return p
 
 
+def _refuse_degree(degree) -> None:
+    """DegreeCapExceeded for a result of total degree above DEGREE_CAP, before it is built."""
+    if degree > DEGREE_CAP:
+        raise DegreeCapExceeded(f"product degree exceeds cap {DEGREE_CAP}")
+
+
 def _exponent(exp) -> Exponent:
     """A validated exponent tuple: four nonnegative ints, never bools."""
     exp = tuple(exp)
@@ -283,14 +282,6 @@ def _coef(q: Quaternion) -> Coef:
     if not isinstance(q, Quaternion) or not q.is_exact:
         raise TypeError("QPoly coefficients must use the exact backend")
     return (_real(q.w), _real(q.x), _real(q.y), _real(q.z))
-
-
-def _hamilton(p: Coef, q: Coef) -> Coef:
-    """The Hamilton product of two component tuples."""
-    a, b, c, d = p
-    e, f, g, h = q
-    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
 
 # -- the quaternion variable and its conjugate ------------------------------------
@@ -421,14 +412,20 @@ def global_v(p: QPoly) -> QPoly:
     return divide_by_vecnorm_sq(global_g(p))
 
 
+def global_v_power(p: QPoly, k: int) -> QPoly:
+    """V^k p, stopping as soon as the work is zero, since V(0) = 0."""
+    for _ in range(k):
+        if not p._terms:
+            break
+        p = global_v(p)
+    return p
+
+
 def tau_n(p: QPoly, n: int) -> QPoly:
     """laplacian o V^(n-1): maps order-n slice polyanalytic expansions to Fueter regular ones."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    g = p
-    for _ in range(n - 1):
-        g = global_v(g)
-    return laplacian(g)
+    return laplacian(global_v_power(p, n - 1))
 
 
 def c_n(components: Sequence[QPoly]) -> QPoly:

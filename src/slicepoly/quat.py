@@ -121,6 +121,7 @@ class Quaternion:
             e, f, g, h = other.w, other.x, other.y, other.z
             if (type(a) is float) is not (type(e) is float):
                 raise TypeError(_MIXED)
+            # _hamilton inlined: the extra call and tuple are measurable on scalar products
             return Quaternion._new(
                 a * e - b * f - c * g - d * h,
                 a * f + b * e + c * h - d * g,
@@ -202,9 +203,20 @@ class Quaternion:
 _set_w, _set_x, _set_y, _set_z = (Quaternion.__dict__[n].__set__ for n in "wxyz")
 
 
+def _hamilton(p: tuple, q: tuple) -> tuple:
+    """The Hamilton product of two component tuples (w, x, y, z)."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+
 def _scalar_from_json(c) -> Scalar:
     if isinstance(c, str):
-        return Fraction(c)
+        try:
+            return Fraction(c)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in quaternion JSON: {c!r}") from None
     if isinstance(c, bool) or not isinstance(c, (int, float)):
         raise ValueError(f"bad scalar in quaternion JSON: {c!r}")
     if isinstance(c, float) and not math.isfinite(c):
@@ -248,6 +260,10 @@ class UnitImaginary:
         n = math.hypot(x, y, z)
         if not 0.0 < n < math.inf:
             raise ValueError(f"cannot normalize the vector ({x}, {y}, {z})")
+        if n < sys.float_info.min:
+            # a subnormal norm has lost precision: rescale exactly by a power of two first
+            x, y, z = x * 2.0**600, y * 2.0**600, z * 2.0**600
+            n = math.hypot(x, y, z)
         return cls(Quaternion(0.0, x / n, y / n, z / n))
 
     @property
@@ -292,11 +308,11 @@ def slice_decompose(q: Quaternion) -> SliceCoords:
         y = exact_sqrt(v2)
         inv_y = Fraction(1) / y
         return SliceCoords(q.w, y, UnitImaginary(q.vec() * inv_y))
-    # scaled norm and a division, not a reciprocal: subnormal and huge y stay in range
+    # scaled norm: subnormal and huge y stay in range
     y = math.hypot(q.x, q.y, q.z)
     if y == 0.0:
         return SliceCoords(q.w, 0.0, UnitImaginary(E1.to_float()))
-    return SliceCoords(q.w, y, UnitImaginary(Quaternion(0.0, q.x / y, q.y / y, q.z / y)))
+    return SliceCoords(q.w, y, UnitImaginary.from_vector(q.x, q.y, q.z))
 
 
 @dataclass(frozen=True, slots=True)

@@ -85,9 +85,11 @@ class SliceRegularSeries:
         """Exact polynomial expansion sum_m (q^m as QPoly) a_m."""
         if not self.is_exact:
             raise TypeError("only exact series expand to polynomials")
+        qpoly._refuse_degree(self.degree)
         acc = QPoly.zero()
         for m, a in enumerate(self._coeffs):
-            acc = acc + qpoly.expand_q_power(m) * a
+            if not a.is_zero():
+                acc = acc + qpoly.expand_q_power(m) * a
         return acc
 
     def scale(self, s) -> "SliceRegularSeries":
@@ -162,6 +164,7 @@ class SlicePolyFn:
 
     def expand(self) -> QPoly:
         """Exact expansion sum_k conj(q)^k f_k as a polynomial in x0..x3."""
+        qpoly._refuse_degree(max(k + c.degree for k, c in enumerate(self._components)))
         acc = QPoly.zero()
         for k, comp in enumerate(self._components):
             if not comp.is_zero():
@@ -218,39 +221,36 @@ def series_from_expansion(p: QPoly) -> SliceRegularSeries:
     """
     if p.is_zero():
         return SliceRegularSeries()
-    coeffs = [p.coeff((m, 0, 0, 0)) for m in range(int(p.degree) + 1)]
-    rebuilt = QPoly.zero()
-    for m, a in enumerate(coeffs):
-        if not a.is_zero():
-            rebuilt = rebuilt + qpoly.expand_q_power(m) * a
-    if rebuilt != p:
+    series = SliceRegularSeries([p.coeff((m, 0, 0, 0)) for m in range(int(p.degree) + 1)])
+    if series.expand() != p:
         raise NotInClass("polynomial is not the expansion of a slice regular series")
-    return SliceRegularSeries(coeffs)
+    return series
 
 
 def decompose(p: QPoly, n: int) -> SlicePolyFn:
     """Recover the unique components of an order-n slice polyanalytic expansion.
 
     Peels from the top: V^k applied to the residual isolates
-    2^k k! (f_k expansion), which is read back into a series.  Returns the
-    minimal order; raises NotInClass when p is outside the class.
+    2^k k! (f_k expansion), which is read back into a series and scaled by
+    1/(2^k k!).  Returns the minimal order; raises NotInClass when p is
+    outside the class.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     comps: list[SliceRegularSeries] = [SliceRegularSeries()] * n
-    work = p
+    work, top = p, p.degree
     for k in range(n - 1, -1, -1):
-        g = work
+        if work is p and n - 1 > k > top:
+            continue  # V lowers degrees, so this level reruns the top level's chain to 0
         try:
-            for _ in range(k):
-                g = qpoly.global_v(g)
+            g = qpoly.global_v_power(work, k)
         except NotDivisible as exc:
             raise NotInClass(
                 f"normalized global operator does not extend at level {k}"
             ) from exc
-        f_k = series_from_expansion(g * Fraction(1, (2**k) * math.factorial(k)))
-        comps[k] = f_k
+        f_k = series_from_expansion(g)
         if not f_k.is_zero():
+            f_k = comps[k] = f_k.scale(Fraction(1, (2**k) * math.factorial(k)))
             work = work - qpoly.expand_qbar_power(k) * f_k.expand()
     if not work.is_zero():
         raise NotInClass("nonzero residual after peeling all components")
@@ -439,12 +439,8 @@ class RightSlicePolyFn:
     __slots__ = ("_components",)
 
     def __init__(self, components: Sequence[Sequence[Quaternion]]):
-        comps = []
-        for coeffs in components:
-            coeffs = list(coeffs)
-            while coeffs and coeffs[-1].is_zero():
-                coeffs.pop()
-            comps.append(tuple(coeffs))
+        # the series rules: trailing zeros trimmed, one scalar backend per component
+        comps = [SliceRegularSeries(coeffs).coeffs for coeffs in components]
         if not comps:
             raise ValueError("order must be at least 1")
         self._components = tuple(comps)

@@ -2,20 +2,28 @@
 
 The oracles here deliberately avoid the package's arithmetic paths: naive_mul
 works off the literal basis multiplication table, and naive_poly_eval walks a
-raw term dictionary.  Generators mirror nothing from the package either, so
-the tests cross two independent implementations wherever a derived value is
-asserted.
+raw term dictionary, so the tests cross two independent implementations
+wherever a derived value is asserted.  The seeded generators are the verify
+suites' own corpus, re-exported under public names: they only draw inputs,
+and one corpus means the tests and the suites draw the same instances.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
-from slicepoly.qpoly import QPoly
-from slicepoly.quat import Quaternion, UnitImaginary, quatf
-from slicepoly.slicefn import RightSlicePolyFn, SlicePolyFn, SliceRegularSeries
+from slicepoly.quat import Quaternion, quatf
+from slicepoly.verify import (  # noqa: F401  (re-exported for the tests)
+    _rand_circle_node as rand_circle_node,
+    _rand_point as rand_point,
+    _rand_qpoly as rand_qpoly,
+    _rand_quat as rand_quat,
+    _rand_right_fn as rand_rightfn,
+    _rand_series as rand_series,
+    _rand_slicefn as rand_slicefn,
+    _rand_unit as rand_unit,
+)
 
 # basis products e_i * e_j as (sign, index) with indices 0=1, 1=i, 2=j, 3=k
 _TABLE = {
@@ -47,66 +55,11 @@ def naive_poly_eval(terms: dict, point: Quaternion) -> Quaternion:
     return acc
 
 
-def rand_quat(rng: random.Random, cmax: int = 3) -> Quaternion:
-    return Quaternion(*(rng.randint(-cmax, cmax) for _ in range(4)))
-
-
 def rand_nonzero_quat(rng: random.Random, cmax: int = 3) -> Quaternion:
     while True:
         q = rand_quat(rng, cmax)
         if not q.is_zero():
             return q
-
-
-def rand_qpoly(rng: random.Random, max_deg: int = 3, n_terms: int = 4, cmax: int = 3) -> QPoly:
-    terms: dict = {}
-    for _ in range(n_terms):
-        exp = [0, 0, 0, 0]
-        for _ in range(rng.randint(0, max_deg)):
-            exp[rng.randrange(4)] += 1
-        key = tuple(exp)
-        c = rand_quat(rng, cmax)
-        terms[key] = terms.get(key, Quaternion(0, 0, 0, 0)) + c
-    return QPoly(terms)
-
-
-def rand_series(rng: random.Random, deg: int, cmax: int = 3) -> SliceRegularSeries:
-    return SliceRegularSeries([rand_quat(rng, cmax) for _ in range(deg + 1)])
-
-
-def rand_slicefn(rng: random.Random, order: int, deg: int, cmax: int = 2) -> SlicePolyFn:
-    return SlicePolyFn([rand_series(rng, rng.randint(0, deg), cmax) for _ in range(order)])
-
-
-def rand_rightfn(rng: random.Random, order: int, deg: int, cmax: int = 2) -> RightSlicePolyFn:
-    return RightSlicePolyFn(
-        [[rand_quat(rng, cmax) for _ in range(rng.randint(0, deg) + 1)] for _ in range(order)]
-    )
-
-
-def rand_unit(rng: random.Random) -> UnitImaginary:
-    while True:
-        v = [rng.gauss(0.0, 1.0) for _ in range(3)]
-        if sum(t * t for t in v) > 1e-6:
-            return UnitImaginary.from_vector(*v)
-
-
-def rand_point(rng: random.Random, rmin: float, rmax: float, vecmin: float = 0.0) -> Quaternion:
-    while True:
-        v = [rng.uniform(-1.0, 1.0) for _ in range(4)]
-        n = math.sqrt(sum(t * t for t in v))
-        if n < 1e-9:
-            continue
-        r = rng.uniform(rmin, rmax)
-        q = quatf(*(t * r / n for t in v))
-        if math.sqrt(q.vec_norm_sq()) >= vecmin:
-            return q
-
-
-def rand_circle_node(rng: random.Random) -> Quaternion:
-    u = rand_unit(rng)
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    return quatf(math.cos(theta)) + u.u * math.sin(theta)
 
 
 def exact(n, d=1) -> Fraction:

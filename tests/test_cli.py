@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from slicepoly import qpoly
 from slicepoly.cli import main
+from slicepoly.qpoly import DEGREE_CAP, QPoly
 from slicepoly.slicefn import MAX_ORDER, SlicePolyFn
 
 QBAR_SPEC = '{"order":2,"components":[[0],[[1,0,0,0]]]}'
@@ -260,6 +266,52 @@ class TestIntegrateBoundary:
             assert run_cli(capsys, "apply", "V", spec) == (1, "")
 
 
+CONST_POLY_SPEC = '{"terms":[{"exp":[0,0,0,0],"coef":[1,0,0,0]}]}'
+#: q^65 as an order-1 function spec: one nonzero coefficient above 65 zeros
+Q65_SPEC = json.dumps({"order": 1, "components": [[0] * (DEGREE_CAP + 1) + [1]]})
+CAP_ERROR = '{"error": "DegreeCapExceeded", "message": "product degree exceeds cap 64"}\n'
+
+
+def _budget(monkeypatch, owner, name, limit):
+    """Wrap owner.name so that more than ``limit`` calls fail the test at once."""
+    fn = getattr(owner, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        assert len(calls) <= limit, f"{name} called more than {limit} times"
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestWorkBounds:
+    """Inputs whose answer is known early are answered before the work grows."""
+
+    def test_c_n_of_a_constant_at_max_order(self, capsys, monkeypatch):
+        calls = _budget(monkeypatch, qpoly, "global_v", MAX_ORDER)
+        assert run_cli(capsys, "apply", "c_n", CONST_POLY_SPEC,
+                       "--order", str(MAX_ORDER)) == (0, '{"terms": []}\n')
+        assert len(calls) < MAX_ORDER
+
+    def test_degree_cap_refused_before_expansion(self, capsys, monkeypatch):
+        _budget(monkeypatch, QPoly, "__mul__", 0)
+        full = json.dumps({"order": 1, "components": [[1] * (DEGREE_CAP + 2)]})
+        late = json.dumps({"order": 60, "components": [[]] * 59 + [[0] * 10 + [1]]})
+        for spec in (Q65_SPEC, full, late):
+            for op in ("D", "V", "tau", "c_n")[:3 if spec is late else 4]:
+                assert run_cli(capsys, "apply", op, spec) == (2, CAP_ERROR)
+
+    def test_zero_denominator_is_an_input_error(self, capsys):
+        for coef in ('["1/0",0,0,0]', '"1/0"', '[0,0,"-3/0",0]'):
+            spec = '{"order":1,"components":[[%s]]}' % coef
+            assert run_cli(capsys, "apply", "V", spec) == (1, "")
+            assert run_cli(capsys, "integrate", "cauchy", QBAR_SPEC, coef) == (1, "")
+        raw = '{"terms":[{"exp":[1,0,0,0],"coef":["0/0",0,0,0]}]}'
+        assert run_cli(capsys, "apply", "laplacian", raw) == (1, "")
+
+
 F3 = ('{"order":3,"components":[[[1,"1/2",0,-2],[0,1,2,3],[0,0,0,0],[1,0,-1,0]],'
       '[[2,0,-1,"3/4"],[0,0,0,0],[0,1,0,0],["1/5",0,0,1]],'
       '[[0,0,0,1],[1,1,0,0],[-1,2,"-5/3",0],[0,0,2,0],[1,0,0,"-1/4"]]]}')
@@ -338,3 +390,86 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
+
+
+# -- in-process fuzz of the exit-code contract ------------------------------------
+
+EXACT = st.sampled_from([0, 1, -1, 2, "1/2", "-3/4", 10**30])
+FLOAT = st.sampled_from([0.0, 1.0, -0.5, 0.25, 3])
+#: what a spec must not carry: zero denominators, malformed strings, NaN,
+#: overflowing floats, booleans, ints beyond binary64, nulls
+HOSTILE = st.sampled_from(["1/0", "0/0", "x", math.nan, 1e308, -1e308, True, -(10**400), None])
+POINT = st.one_of(st.sampled_from(["1/4", 0.3, -0.2, 2]),
+                  st.lists(st.sampled_from([0, 0.25, -0.1, "1/4", "-1/8"]), min_size=4, max_size=4))
+
+
+def _coefs(pool):
+    return st.one_of(pool, st.lists(pool, min_size=4, max_size=4))
+
+
+@st.composite
+def _spoiled(draw, value, slots):
+    """value, or with one drawn scalar slot replaced by a hostile one (about one draw in three)."""
+    if slots and draw(st.integers(0, 2)) == 0:
+        holder, key = slots[draw(st.integers(0, len(slots) - 1))]
+        holder[key] = draw(st.one_of(HOSTILE, st.builds(lambda h: [0, h, 0, 0], HOSTILE)))
+    return value
+
+
+@st.composite
+def fn_specs(draw):
+    """An order-<=4 function spec of degree <= 8, exact or float, maybe spoiled."""
+    pool = draw(st.sampled_from([EXACT, FLOAT]))
+    order = draw(st.integers(1, 4))
+    comps = draw(st.lists(st.lists(_coefs(pool), max_size=9), max_size=order))
+    spec = {"order": draw(st.sampled_from([order] * 6 + [0, True, order + 1]))}
+    spec["components"] = comps
+    return draw(_spoiled(spec, [(c, i) for c in comps for i in range(len(c))]))
+
+
+@st.composite
+def poly_specs(draw):
+    """A raw polynomial spec of at most five exact terms of degree <= 8, maybe spoiled."""
+    terms = draw(st.lists(st.builds(lambda exp, coef: {"exp": exp, "coef": coef},
+                                    st.lists(st.integers(0, 2), min_size=4, max_size=4),
+                                    _coefs(EXACT)), max_size=5))
+    return draw(_spoiled({"terms": terms}, [(t, "coef") for t in terms]))
+
+
+FORMAT = st.sampled_from([[], ["--format", "text"]])
+APPLY_ARGV = st.builds(
+    lambda op, spec, order, fmt: ["apply", op, *order, *fmt, "--", json.dumps(spec)],
+    st.sampled_from(["G", "V", "D", "Dbar", "laplacian", "tau", "c_n"]),
+    st.one_of(fn_specs(), poly_specs()),
+    st.sampled_from([[], [], ["--order=-1"], ["--order=1"], ["--order=3"], ["--order=4"]]),
+    FORMAT)
+INTEGRATE_ARGV = st.builds(
+    lambda kind, spec, point, right, opts, fmt: [
+        "integrate", kind, *opts, *fmt, *(["--right-spec", json.dumps(right)] if right else []),
+        "--", json.dumps(spec), *([json.dumps(point)] if point is not None else [])],
+    st.sampled_from(["cauchy", "fueter", "residual"]),
+    fn_specs(),
+    st.one_of(POINT, POINT, HOSTILE),
+    st.one_of(st.none(), fn_specs()),
+    st.lists(st.sampled_from(["--nodes=4", "--nodes=16", "--nodes=16", "--nodes=3",
+                              "--radius=0.5", "--radius=nan", "--radius=-1", "--unit=0,1,0",
+                              "--unit=0,0,0", "--unit=1e-320,0,1e-320"]), max_size=2),
+    FORMAT)
+
+
+class TestFuzz:
+    """No input makes the CLI escape its exit codes or print non-JSON output."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(APPLY_ARGV, INTEGRATE_ARGV))
+    @example(["apply", "D", Q65_SPEC])
+    @example(["apply", "c_n", "--order", str(MAX_ORDER), CONST_POLY_SPEC])
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert out.getvalue() == ""
+        if "text" not in argv:
+            _strict_json(out.getvalue())

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from slicepoly import qpoly
 from slicepoly.errors import DegreeCapExceeded, NotDivisible, NotFueterRegular
 from slicepoly.qpoly import (
+    DEGREE_CAP,
     QPoly,
     build_poly_fueter,
     c_n,
@@ -18,11 +19,11 @@ from slicepoly.qpoly import (
     expand_qbar_power,
     global_g,
     global_v,
+    global_v_power,
     is_poly_fueter,
     laplacian,
     laplacian_power_closed_form,
     partial,
-    set_degree_cap,
     tau_n,
 )
 from slicepoly.quat import E1, E2, E3, ONE, ZERO, Quaternion, quatf
@@ -192,6 +193,24 @@ class TestGlobalV:
         with pytest.raises(NotDivisible):
             global_v(QPoly.variable(1))
 
+    def test_power_matches_repeated_application(self):
+        p = expand_qbar_power(3) * expand_q_power(2)
+        assert global_v_power(p, 0) is p
+        g = p
+        for k in range(1, 6):
+            g = global_v(g)
+            assert global_v_power(p, k) == g
+        assert global_v_power(p, 4).is_zero()
+
+    def test_power_stops_at_zero(self, monkeypatch):
+        calls = []
+        v = qpoly.global_v
+        monkeypatch.setattr(qpoly, "global_v", lambda p: calls.append(1) or v(p))
+        assert global_v_power(expand_qbar_power(2), 10**6).is_zero()
+        assert len(calls) == 3
+        with pytest.raises(NotDivisible):
+            global_v_power(QPoly.variable(1), 10**6)
+
 
 class TestTauN:
     def test_symbolic_oracle_case(self):
@@ -342,22 +361,31 @@ class TestLeibnizSuite:
 
 class TestDegreeCap:
     def test_cap_blocks_runaway_products(self):
-        old = set_degree_cap(10)
-        try:
-            with pytest.raises(DegreeCapExceeded):
-                expand_q_power(2) ** 6
-        finally:
-            set_degree_cap(old)
+        with pytest.raises(DegreeCapExceeded):
+            expand_q_power(2) ** (DEGREE_CAP // 2 + 1)
 
-    def test_cap_is_configurable(self):
-        old = set_degree_cap(8)
-        try:
-            with pytest.raises(DegreeCapExceeded):
-                qpoly.Q_POLY**9
-            set_degree_cap(16)
-            assert (qpoly.Q_POLY**9).degree == 9
-        finally:
-            set_degree_cap(old)
+    def test_cap_is_a_constant(self):
+        X0, X1, X2 = qpoly.X0, qpoly.X1, qpoly.X2
+        assert DEGREE_CAP == 64
+        assert (X0**DEGREE_CAP).degree == DEGREE_CAP
+        with pytest.raises(DegreeCapExceeded, match=f"product degree exceeds cap {DEGREE_CAP}"):
+            X0 ** (DEGREE_CAP + 1)
+        with pytest.raises(DegreeCapExceeded):
+            (X0**40 + X2) * (X1**25 + QPoly.one())
+        assert ((X0**40) * (X1**24)).degree == DEGREE_CAP
+
+    def test_refused_before_any_product(self, monkeypatch):
+        cube = qpoly.X0**3
+        calls = []
+        mul = QPoly.__mul__
+        monkeypatch.setattr(QPoly, "__mul__", lambda p, r: calls.append(1) or mul(p, r))
+        with pytest.raises(DegreeCapExceeded):
+            qpoly.Q_POLY ** (DEGREE_CAP + 1)
+        with pytest.raises(DegreeCapExceeded):
+            cube ** 22
+        assert calls == []
+        assert (QPoly.zero() ** (10 * DEGREE_CAP)).is_zero()
+        assert qpoly.X0**0 == QPoly.one()
 
 
 class TestJson:

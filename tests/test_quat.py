@@ -123,7 +123,9 @@ class TestUnitImaginary:
             UnitImaginary(quatf(0.0, 0.9999, 0.0, 0.0))
 
     def test_from_vector_scaled_norm(self):
-        for x, y, z in ((1e-170, 0.0, 0.0), (0.0, 5e-324, 0.0), (1e300, -1e300, 1e300)):
+        for x, y, z in ((1e-170, 0.0, 0.0), (0.0, 5e-324, 0.0), (1e300, -1e300, 1e300),
+                        (0.0, 2.225073858507e-311, 2.225073858507e-311), (1e-320, 0.0, 1e-320),
+                        (5e-324, -5e-324, 5e-324)):
             u = UnitImaginary.from_vector(x, y, z)
             assert abs(u.u.vec_norm_sq() - 1.0) < 8e-16
         for bad in ((0.0, 0.0, 0.0), (math.nan, 1.0, 0.0), (math.inf, 0.0, 0.0)):
@@ -169,6 +171,8 @@ class TestSliceDecompose:
     @given(float_quats)
     @example(quatf(0, 0, 0, 9.67e-161))  # squared vector norm underflows
     @example(quatf(0.5, 0, 0, 1e155))  # squared vector norm overflows
+    @example(quatf(0, 0, 2.225073858507e-311, 2.225073858507e-311))  # subnormal vector norm
+    @example(quatf(0.5, 1e-320, 0, 1e-320))  # subnormal vector norm
     def test_roundtrip_float(self, q):
         c = slice_decompose(q)
         assert c.y >= 0.0
@@ -229,6 +233,13 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 Quaternion.from_json([0.5, 0, bad, 0])
             with pytest.raises(ValueError):
+                Quaternion.from_json(bad)
+
+    def test_zero_denominator_refused(self):
+        for bad in ("1/0", "-3/0", "0/0"):
+            with pytest.raises(ValueError, match="zero denominator"):
+                Quaternion.from_json([0, bad, 0, 0])
+            with pytest.raises(ValueError, match="zero denominator"):
                 Quaternion.from_json(bad)
 
 

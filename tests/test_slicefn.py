@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from slicepoly import qpoly
-from slicepoly.errors import NotInClass, NotOrthogonal
+from slicepoly.errors import DegreeCapExceeded, NotInClass, NotOrthogonal
 from slicepoly.qpoly import QPoly, expand_q_power, expand_qbar_power, global_v
 from slicepoly.quat import E1, E2, ONE, Quaternion, U1, U2, UnitImaginary, ZERO, quatf
 from slicepoly.slicefn import (
+    MAX_ORDER,
     RightSlicePolyFn,
     SlicePolyFn,
     SliceRegularSeries,
@@ -56,6 +57,22 @@ class TestExpand:
                 q = rand_quat(rng)
                 assert p.evaluate(q) == f.evaluate(q)
 
+    def test_zero_coefficients_skipped(self, monkeypatch):
+        powers = []
+        power = qpoly.expand_q_power
+        monkeypatch.setattr(qpoly, "expand_q_power", lambda m: powers.append(m) or power(m))
+        assert S([ZERO, ZERO, ZERO, E2]).expand() == expand_q_power(3) * E2
+        assert powers == [3]
+
+    def test_degree_cap_before_any_power(self, monkeypatch):
+        powers = []
+        monkeypatch.setattr(qpoly, "expand_q_power", lambda m: powers.append(m))
+        with pytest.raises(DegreeCapExceeded):
+            S([ONE] * (qpoly.DEGREE_CAP + 2)).expand()
+        with pytest.raises(DegreeCapExceeded):
+            SlicePolyFn([S()] * qpoly.DEGREE_CAP + [S([ZERO, ONE])]).expand()
+        assert powers == []
+
     def test_series_expansion_in_global_kernel(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -95,6 +112,27 @@ class TestDecompose:
             decompose(QPoly.variable(1), 2)
         with pytest.raises(NotInClass):
             series_from_expansion(QPoly.variable(2))
+
+    def test_constant_at_high_order_applies_v_once_per_level(self, monkeypatch):
+        calls = []
+        v = qpoly.global_v
+        monkeypatch.setattr(qpoly, "global_v", lambda p: calls.append(1) or v(p))
+        assert decompose(QPoly.constant(E2), 1000) == fn([E2])
+        assert len(calls) <= 1000
+
+    def test_declared_order_far_above_the_degree(self, monkeypatch):
+        rng = random.Random(17)
+        f = rand_slicefn(rng, 4, 4)
+        p = f.expand()
+        calls = []
+        v = qpoly.global_v
+        monkeypatch.setattr(qpoly, "global_v", lambda r: calls.append(1) or v(r))
+        assert decompose(p, MAX_ORDER) == f.trim()
+        assert len(calls) <= (p.degree + 2) ** 2
+
+    def test_level_of_failure_in_message(self):
+        with pytest.raises(NotInClass, match="does not extend at level 3"):
+            decompose(QPoly.variable(1), 4)
 
     def test_rejects_wrong_order(self):
         p = expand_qbar_power(3)
@@ -274,6 +312,13 @@ class TestAppell:
 
 
 class TestRightSided:
+    def test_components_follow_the_series_rules(self):
+        with pytest.raises(TypeError):
+            RightSlicePolyFn([[Quaternion(Fraction(1, 3), 0, 0, 0), quatf(0.5)]])
+        g = RightSlicePolyFn([[ONE, quatf(0.5), ZERO], [ZERO]])
+        assert g.components == ((quatf(1.0), quatf(0.5)), ())
+        assert not g.components[0][0].is_exact
+
     def test_evaluation_places_coefficients_left(self):
         g = RightSlicePolyFn([[ZERO, E2]])  # g(q) = e2 * q
         q = Quaternion(0, 1, 0, 0)
