@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import fsum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeCapExceeded, NotDivisible, NotFueterRegular
@@ -220,14 +221,16 @@ class QPoly:
                 m = pw**a0 * px**a1 * py**a2 * pz**a3
                 w, x, y, z = w + cw * m, x + cx * m, y + cy * m, z + cz * m
             return Quaternion._new(w, x, y, z)
-        w = x = y = z = 0.0
+        # fsum rounds each component once, so the value does not depend on the
+        # order in which the terms were inserted
+        ws, xs, ys, zs = [], [], [], []
         for (a0, a1, a2, a3), (cw, cx, cy, cz) in self._terms.items():
             m = pw**a0 * px**a1 * py**a2 * pz**a3
-            w += float(cw) * m
-            x += float(cx) * m
-            y += float(cy) * m
-            z += float(cz) * m
-        return Quaternion._new(w, x, y, z)
+            ws.append(float(cw) * m)
+            xs.append(float(cx) * m)
+            ys.append(float(cy) * m)
+            zs.append(float(cz) * m)
+        return Quaternion._new(fsum(ws), fsum(xs), fsum(ys), fsum(zs))
 
     # -- serialization -----------------------------------------------------------
 

@@ -365,7 +365,7 @@ class TestVerifyDigests:
         (("kernels", "--seed", "7", "--count", "20"),
          "0c89a6882325a6907e70b57324e607b98e285b7b3273f9df4cf06e580985de13"),
         (("quadrature", "--seed", "7", "--count", "3"),
-         "c1458281d0c06d96da2d3928de6b9c7926894ec3ba0f02e985ac990b55478919"),
+         "6e01c46ce517aab87f1f7922fcacb8484555df0f6e93c056812a01fd6fa3c32f"),
     ]
 
     @pytest.mark.parametrize("argv, digest", CASES, ids=[argv[0] for argv, _ in CASES])
