@@ -358,6 +358,27 @@ class TestApplyDigests:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+#: an order-3 spec with binary64 coefficients: its reference goes through the exact copy
+F3_FLOAT = ('{"order":3,"components":[[[0.5,0.25,0,-1.5],[1,0,0.75,0],[0,0.1,0,0]],'
+            '[[0,1,0,0.125],[0.3,0,0,0]],[[0.3,0,0,0],[0,0,-0.7,1],[0.2,0.2,0,0]]]}')
+
+
+class TestIntegrateDigests:
+    """sha256 of the stdout of fixed integrate calls: pins the float bytes of
+    ``reference = tau_n(...).evaluate(q)``, so a change of exact kernel must not move them."""
+
+    CASES = [
+        ((F3, "[0.2,0.1,-0.15,0.05]"), "78bfde12d1ee5f603826ca30f7d5f90b7ef1fc846b9b216bb43b0d8caccd5fa1"),
+        ((F3_FLOAT, "[0.2,0.1,-0.15,0.05]"), "d2f9a5e33f08724e56cfd056040c0b8f55550cf229b1ae10619b43f36900a62a"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", CASES, ids=["exact", "float"])
+    def test_fueter_stdout_digest(self, capsys, argv, digest):
+        code, out = run_cli(capsys, "integrate", "fueter", *argv, "--nodes", "512")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestVerifyDigests:
     """sha256 of the stdout of fixed verify calls: pins the float kernels' max_error bytes."""
 
