@@ -16,6 +16,15 @@ iterated map ``tau_n = laplacian o V^(n-1)``, and the componentwise map
 ``c_n = sum x0^k laplacian(f_k)``.  Products and powers refuse a total degree
 above the constant ``DEGREE_CAP`` before they do any work.
 
+The Laplacian, both Cauchy-Fueter operators and ``G`` are single sweeps over
+the term dict: each term ``x^a c`` emits its image terms into one dict, and
+sums that cancel are dropped.  Left multiplication by ``e_l`` is a signed
+permutation of the coefficient tuple, and in ``G`` the radial part
+``sum_l x_l d/dx_l`` scales each term by its vector degree ``a1 + a2 + a3``
+(Euler's identity), so no intermediate polynomial is built.  Float evaluation
+sums each component with ``math.fsum``, so its value does not depend on the
+order of the terms.
+
 Values are immutable after construction and all operations are pure.
 """
 
@@ -344,31 +353,109 @@ def partial(p: QPoly, axis: int) -> QPoly:
     return _wrap(out)
 
 
+def _collect(pairs: Iterable[tuple[Exponent, Coef]]) -> QPoly:
+    """Sum (exponent, nonzero coefficient) pairs into one QPoly, dropping sums that cancel."""
+    out: dict[Exponent, Coef] = {}
+    get = out.get
+    for k, c in pairs:
+        acc = get(k)
+        if acc is None:
+            out[k] = c
+            continue
+        w, x, y, z = acc[0] + c[0], acc[1] + c[1], acc[2] + c[2], acc[3] + c[3]
+        if w or x or y or z:
+            out[k] = (w, x, y, z)
+        else:
+            del out[k]
+    return _wrap(out)
+
+
+# Left multiplication by e1, e2, e3 is a signed permutation of (w, x, y, z):
+#   e1 c = (-x, w, -z, y),  e2 c = (-y, z, w, -x),  e3 c = (-z, -y, x, w).
+
+
+def _laplacian_terms(p: QPoly):
+    for (a0, a1, a2, a3), (w, x, y, z) in p._terms.items():
+        if a0 > 1:
+            m = a0 * (a0 - 1)
+            yield (a0 - 2, a1, a2, a3), (m * w, m * x, m * y, m * z)
+        if a1 > 1:
+            m = a1 * (a1 - 1)
+            yield (a0, a1 - 2, a2, a3), (m * w, m * x, m * y, m * z)
+        if a2 > 1:
+            m = a2 * (a2 - 1)
+            yield (a0, a1, a2 - 2, a3), (m * w, m * x, m * y, m * z)
+        if a3 > 1:
+            m = a3 * (a3 - 1)
+            yield (a0, a1, a2, a3 - 2), (m * w, m * x, m * y, m * z)
+
+
+def _fueter_terms(p: QPoly, sign: int):
+    for (a0, a1, a2, a3), (w, x, y, z) in p._terms.items():
+        if a0:
+            yield (a0 - 1, a1, a2, a3), (a0 * w, a0 * x, a0 * y, a0 * z)
+        if a1:
+            m = sign * a1
+            yield (a0, a1 - 1, a2, a3), (-m * x, m * w, -m * z, m * y)
+        if a2:
+            m = sign * a2
+            yield (a0, a1, a2 - 1, a3), (-m * y, m * z, m * w, -m * x)
+        if a3:
+            m = sign * a3
+            yield (a0, a1, a2, a3 - 1), (-m * z, -m * y, m * x, m * w)
+
+
+def _g_terms(p: QPoly):
+    for (a0, a1, a2, a3), (w, x, y, z) in p._terms.items():
+        if a0:
+            # |vec|^2 d/dx0
+            c = (a0 * w, a0 * x, a0 * y, a0 * z)
+            yield (a0 - 1, a1 + 2, a2, a3), c
+            yield (a0 - 1, a1, a2 + 2, a3), c
+            yield (a0 - 1, a1, a2, a3 + 2), c
+        r = a1 + a2 + a3
+        if r:
+            # sum_l x_l d/dx_l scales the term by its vector degree r (Euler),
+            # then vec = sum_l x_l e_l multiplies from the left
+            w, x, y, z = r * w, r * x, r * y, r * z
+            yield (a0, a1 + 1, a2, a3), (-x, w, -z, y)
+            yield (a0, a1, a2 + 1, a3), (-y, z, w, -x)
+            yield (a0, a1, a2, a3 + 1), (-z, -y, x, w)
+
+
 def laplacian(p: QPoly) -> QPoly:
-    """Four-dimensional Laplacian, the first-order Fueter map on slice regular input."""
-    acc = QPoly.zero()
-    for axis in range(4):
-        acc = acc + partial(partial(p, axis), axis)
-    return acc
+    """Four-dimensional Laplacian, the first-order Fueter map on slice regular input.
+
+    One sweep: x^a c contributes a_l (a_l - 1) c at a - 2 e_l for each axis l.
+    """
+    return _collect(_laplacian_terms(p))
 
 
 def cauchy_fueter(p: QPoly) -> QPoly:
     """Cauchy-Fueter operator: d/dx0 + e1 d/dx1 + e2 d/dx2 + e3 d/dx3.
 
-    The imaginary units multiply the derivatives from the left.
+    The imaginary units multiply the derivatives from the left.  One sweep:
+    x^a c contributes a0 c at a - e0 and a_l (e_l c) at a - e_l.
     """
-    return partial(p, 0) + E1 * partial(p, 1) + E2 * partial(p, 2) + E3 * partial(p, 3)
+    return _collect(_fueter_terms(p, 1))
 
 
 def conjugate_cauchy_fueter(p: QPoly) -> QPoly:
     """Conjugate Cauchy-Fueter operator: d/dx0 - e1 d/dx1 - e2 d/dx2 - e3 d/dx3."""
-    return partial(p, 0) - E1 * partial(p, 1) - E2 * partial(p, 2) - E3 * partial(p, 3)
+    return _collect(_fueter_terms(p, -1))
 
 
 def global_g(p: QPoly) -> QPoly:
-    """Global operator |vec q|^2 d/dx0 + (vec q) sum_l x_l d/dx_l (vector on the left)."""
-    radial = X1 * partial(p, 1) + X2 * partial(p, 2) + X3 * partial(p, 3)
-    return VEC_NORM_SQ_POLY * partial(p, 0) + VEC_POLY * radial
+    """Global operator |vec q|^2 d/dx0 + (vec q) sum_l x_l d/dx_l (vector on the left).
+
+    One sweep: x^a c contributes a0 c at a - e0 + 2 e_l and, by Euler's
+    identity for sum_l x_l d/dx_l, (a1 + a2 + a3)(e_l c) at a + e_l, for
+    l = 1, 2, 3.  The image of a nonconstant p of degree d may reach degree
+    d + 1, so that degree is refused above DEGREE_CAP before any work, as for
+    a product.
+    """
+    _refuse_degree(p.degree + 1)
+    return _collect(_g_terms(p))
 
 
 def divide_by_vecnorm_sq(p: QPoly) -> QPoly:

@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slicepoly import qpoly
+from slicepoly.cli import main
 from slicepoly.errors import DegreeCapExceeded, NotDivisible, NotFueterRegular
 from slicepoly.qpoly import (
     DEGREE_CAP,
@@ -374,6 +376,28 @@ class TestDegreeCap:
             (X0**40 + X2) * (X1**25 + QPoly.one())
         assert ((X0**40) * (X1**24)).degree == DEGREE_CAP
 
+    def test_operator_images_refused_above_the_cap(self, capsys):
+        # G(x0^64) would reach degree 65: G, V and tau refuse it, as the product
+        # |vec|^2 * d/dx0 inside G always did; D and the Laplacian lower the degree
+        top = qpoly.X0**DEGREE_CAP
+        message = f"product degree exceeds cap {DEGREE_CAP}"
+        for op in (global_g, global_v, lambda p: tau_n(p, 2)):
+            with pytest.raises(DegreeCapExceeded, match=message):
+                op(top)
+        assert cauchy_fueter(top) == qpoly.X0 ** (DEGREE_CAP - 1) * DEGREE_CAP
+        assert laplacian(top) == qpoly.X0 ** (DEGREE_CAP - 2) * (DEGREE_CAP * (DEGREE_CAP - 1))
+        assert global_g(qpoly.X0 ** (DEGREE_CAP - 1)).degree == DEGREE_CAP
+
+        spec = json.dumps(top.to_json())
+        error = json.dumps({"error": "DegreeCapExceeded", "message": message}) + "\n"
+        for argv in (("G", spec), ("V", spec), ("tau", spec, "--order", "2")):
+            assert main(["apply", *argv]) == 2
+            assert capsys.readouterr().out == error
+        for op in ("D", "laplacian"):
+            assert main(["apply", op, spec]) == 0
+            out = capsys.readouterr().out
+            assert QPoly.from_json(json.loads(out)).degree < DEGREE_CAP
+
     def test_refused_before_any_product(self, monkeypatch):
         cube = qpoly.X0**3
         calls = []
@@ -477,3 +501,71 @@ class TestTupleKernel:
         assert rem == s
         quot = divide_by_vecnorm_sq(p - rem)
         assert quot == r and quot * qpoly.VEC_NORM_SQ_POLY + rem == p
+
+
+# -- the one-pass operator sweeps against their ring-composition definitions --------
+
+
+def ring_laplacian(p: QPoly) -> QPoly:
+    acc = QPoly.zero()
+    for axis in range(4):
+        acc = acc + partial(partial(p, axis), axis)
+    return acc
+
+
+def ring_cauchy_fueter(p: QPoly) -> QPoly:
+    return partial(p, 0) + E1 * partial(p, 1) + E2 * partial(p, 2) + E3 * partial(p, 3)
+
+
+def ring_conjugate_cauchy_fueter(p: QPoly) -> QPoly:
+    return partial(p, 0) - E1 * partial(p, 1) - E2 * partial(p, 2) - E3 * partial(p, 3)
+
+
+def ring_global_g(p: QPoly) -> QPoly:
+    radial = qpoly.X1 * partial(p, 1) + qpoly.X2 * partial(p, 2) + qpoly.X3 * partial(p, 3)
+    return qpoly.VEC_NORM_SQ_POLY * partial(p, 0) + qpoly.VEC_POLY * radial
+
+
+def ring_global_v(p: QPoly) -> QPoly:
+    return divide_by_vecnorm_sq(ring_global_g(p))
+
+
+SWEEPS = [
+    (global_g, ring_global_g),
+    (global_v, ring_global_v),
+    (laplacian, ring_laplacian),
+    (cauchy_fueter, ring_cauchy_fueter),
+    (conjugate_cauchy_fueter, ring_conjugate_cauchy_fueter),
+]
+
+
+def _outcome(op, p: QPoly):
+    """The image, or the remainder that NotDivisible carries."""
+    try:
+        return "image", op(p)
+    except NotDivisible as exc:
+        return "remainder", exc.remainder
+
+
+def expansions():
+    # sums of conj(q)^k q^m c: in-class input, on which G, V and the Fueter
+    # operators cancel most of the terms they emit
+    quats = st.builds(Quaternion, exact_scalars, exact_scalars, exact_scalars, exact_scalars)
+    term = st.builds(lambda k, m, c: expand_qbar_power(k) * expand_q_power(m) * c,
+                     st.integers(0, 2), st.integers(0, 4), quats)
+    return st.lists(term, max_size=3).map(lambda ts: sum(ts, QPoly.zero()))
+
+
+class TestOperatorSweeps:
+    @given(st.one_of(polys(), polys(int_scalars), expansions()))
+    @example(QPoly.zero())
+    @example(CONST(Quaternion(Fraction(-1, 2), 3, 0, 1)))
+    @example(qpoly.X0**63)
+    @settings(deadline=None)
+    def test_sweeps_match_ring_definitions(self, p):
+        for sweep, ring in SWEEPS:
+            kind, got = _outcome(sweep, p)
+            want_kind, want = _outcome(ring, p)
+            assert (kind, got) == (want_kind, want), sweep.__name__
+            assert got.to_json() == want.to_json()
+            assert all(any(c) for c in got._terms.values())
