@@ -11,23 +11,25 @@ integrated function, in exactly that order (the tests keep a witness that
 moving dw_I changes the answer).  All node work stays in C_I as Python
 complex: with J = canonical_perp(I) every quaternion is a + b J for a, b in
 C_I, and J c = conj(c) J, so one driver, _contour_sum, serves all four
-integrals.  Per-component math.fsum makes results bit-for-bit reproducible
-for a given N; they move only in the last ulps from the per-node quaternion
-route.  No numpy: its import alone costs about 11 MB RSS and 160 ms per CLI start.
+integrals, reading the coefficients as split once by slicefn.restrict.
+Per-component math.fsum makes results bit-for-bit reproducible for a given N;
+they move only in the last ulps from the per-node quaternion route, which
+verify keeps as the independent reference.  No numpy: its import alone costs
+about 11 MB RSS and 160 ms per CLI start.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import kernels
 from .errors import OnSingularSphere, OrderMismatch, OutsideContour
 from .quat import Quaternion, UnitImaginary, quatf
-from .slicefn import RightSlicePolyFn, SlicePolyFn, canonical_perp, split_coeff, split_frame
+from .slicefn import (
+    RightSlicePolyFn, SlicePolyFn, _finite, canonical_perp, restrict, split_coeff, split_frame)
 
 #: accepted node counts: MIN_NODES <= N <= MAX_NODES
 MIN_NODES = 4
@@ -46,6 +48,7 @@ class CirclePath:
     rho: float = 1.0
     n: int = 512
     _z: tuple = field(init=False, repr=False, compare=False)
+    _perp: UnitImaginary = field(init=False, repr=False, compare=False)
     _frame: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -55,7 +58,8 @@ class CirclePath:
             raise ValueError(f"node count must lie in [{MIN_NODES}, {MAX_NODES}]")
         unit = self.unit.to_float()
         object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "_frame", split_frame(unit, canonical_perp(unit)))
+        object.__setattr__(self, "_perp", canonical_perp(unit))
+        object.__setattr__(self, "_frame", split_frame(unit, self._perp))
         dtheta, rho = 2.0 * math.pi / self.n, self.rho
         object.__setattr__(self, "_z", tuple(  # the nodes w_m, as complex numbers of the slice
             complex(rho * math.cos(dtheta * m), rho * math.sin(dtheta * m)) for m in range(self.n)))
@@ -87,13 +91,6 @@ def _require_inside(q: Quaternion, path: CirclePath) -> Quaternion:
     if abs(q) >= path.rho:
         raise OutsideContour(f"|q| = {abs(q)} is not inside radius {path.rho}")
     return q
-
-
-def _finite(value, what: str) -> float:
-    """float(value), or ValueError when it lies beyond the float range."""
-    if not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{what} is beyond the float range")
-    return float(value)
 
 
 def _reduce(terms: list[Quaternion], scale: float) -> Quaternion:
@@ -136,41 +133,6 @@ def _kernel_left(q: Quaternion, path: CirclePath, const: float, power: int) -> C
     return left
 
 
-def _cr_values(fn, path: CirclePath, js) -> Callable:
-    """values(z) -> [(P_j, Q_j) for j in js] with CR^j fn = P_j + Q_j J at z.
-
-    CR^j f = sum_{k>=j} k!/(k-j)! conj(z)^(k-j) (F_k(z) + G_k(z) J), F_k and
-    G_k the Horner sums of the split coefficients; for a right function
-    J z^m = conj(z)^m J swaps z and conj(z) in G_k and in its power factor.
-    """
-    right_sided = isinstance(fn, RightSlicePolyFn)
-    comps = fn.components if right_sided else [c.coeffs for c in fn.components]
-    split = [[split_coeff(a, path._frame) for a in reversed(cs)] for cs in comps]
-    while split and not split[-1]:
-        split.pop()
-    plans = [[(k, _finite(math.perm(k, j), "a derivative weight k!/(k-j)!") if split[k] else 0.0)
-              for k in range(len(split) - 1, j - 1, -1)] for j in js]
-
-    def values(z: complex) -> list:
-        zb = z.conjugate()
-        zq, zqb = (zb, z) if right_sided else (z, zb)
-        fk = []
-        for cs in split:
-            p = q = 0j
-            for c1, c2 in cs:
-                p, q = p * z + c1, q * zq + c2
-            fk.append((p, q))
-        out = []
-        for plan in plans:
-            p = q = 0j
-            for k, weight in plan:
-                p, q = p * zb + weight * fk[k][0], q * zqb + weight * fk[k][1]
-            out.append((p, q))
-        return out
-
-    return values
-
-
 def poly_cauchy_eval(f: SlicePolyFn, q: Quaternion, path: CirclePath) -> Quaternion:
     """Reproduce f(q) from boundary data of all slice CR derivatives.
 
@@ -179,7 +141,8 @@ def poly_cauchy_eval(f: SlicePolyFn, q: Quaternion, path: CirclePath) -> Quatern
     commute, so they ride with the derivatives.
     """
     q = _require_inside(q, path)
-    derivs = _cr_values(f, path, range(f.trim().order))  # CR^j f = 0 from the trimmed order on
+    # CR^j f = 0 from the trimmed order on
+    derivs = restrict(f, path.unit, path._perp).cr_values(range(f.trim().order))
 
     def right(z: complex) -> tuple:
         t, e, p, r = -2.0 * (z.real - q.w), 1.0, 0j, 0j
@@ -190,25 +153,25 @@ def poly_cauchy_eval(f: SlicePolyFn, q: Quaternion, path: CirclePath) -> Quatern
     return _contour_sum(path, _kernel_left(q, path, 1.0, 1), right, 0.5 / math.pi)
 
 
-def _top_derivative_integral(f, q, path, const: float, prefactor: int, divisor: float):
-    q = _require_inside(q, path)
-    scale = _finite(prefactor, "the order prefactor") / divisor
-    top = _cr_values(f, path, (f.order - 1,))
-    return _contour_sum(path, _kernel_left(q, path, const, 2), top, scale)
-
-
 def fueter_integral(f: SlicePolyFn, q: Quaternion, path: CirclePath) -> Quaternion:
     """Integral form of the order-n Fueter map: matches tau_n of the expansion.
 
     Quadrature of (2^(n-1) / 2 pi) [laplacian s_inv](w, q) dw_I
     (d/d conj z)^(n-1) f(w), where laplacian s_inv = -4 (w - conj q) D^(-2).
     """
-    return _top_derivative_integral(f, q, path, -4.0, 2 ** (f.order - 1), 2.0 * math.pi)
+    q = _require_inside(q, path)
+    scale = _finite(2 ** (f.order - 1), "the order prefactor") / (2.0 * math.pi)
+    top = restrict(f, path.unit, path._perp).cr_values((f.order - 1,))
+    return _contour_sum(path, _kernel_left(q, path, -4.0, 2), top, scale)
 
 
 def fueter_integral_explicit(f: SlicePolyFn, q: Quaternion, path: CirclePath) -> Quaternion:
-    """Same map written with the expanded kernel (conj q - w) D(w,q)^(-2) and prefactor 2^n / pi."""
-    return _top_derivative_integral(f, q, path, -1.0, 2**f.order, math.pi)
+    """Same map written with the expanded kernel (conj q - w) D(w,q)^(-2) and prefactor 2^n / pi.
+
+    -1 * 2^n/pi = -4 * 2^(n-1)/(2 pi) is exact in binary64, so this is the same
+    computation as fueter_integral; verify checks both against a per-node route.
+    """
+    return fueter_integral(f, q, path)
 
 
 def cauchy_theorem_residual(
@@ -223,12 +186,12 @@ def cauchy_theorem_residual(
     if f.order != g.order:
         raise OrderMismatch(f"orders differ: {f.order} vs {g.order}")
     n = f.order
-    rder = _cr_values(g, path, range(n - 1, -1, -1))
+    rder = restrict(g, path.unit, path._perp).cr_values(range(n - 1, -1, -1))
 
     def left(z: complex) -> list:
         return [(a, b) if j % 2 == 0 else (-a, -b) for j, (a, b) in enumerate(rder(z))]
 
-    return _contour_sum(path, left, _cr_values(f, path, range(n)), 1.0)
+    return _contour_sum(path, left, restrict(f, path.unit, path._perp).cr_values(range(n)), 1.0)
 
 
 def unit_independence_check(

@@ -13,6 +13,7 @@ representation formula, and exposes the Appell ladder of conjugate powers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -300,59 +301,81 @@ def project_complex(q: Quaternion, i: UnitImaginary) -> complex:
     return complex(qf.w, _dot4(qf, i.to_float().u))
 
 
+def _finite(value, what: str) -> float:
+    """float(value), or ValueError when it lies beyond the float range."""
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} is beyond the float range")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SliceRestriction:
-    """Restriction of a slice polyanalytic function to a complex slice.
+    """Restriction f_I = F + G J of a left or right slice polyanalytic function.
 
-    Holds the split ``f_I(z) = F(z) + G(z) J`` with F, G complex polyanalytic
-    polynomials in (z, conj z), identified with ordinary complex values via
-    1 -> 1, I -> i.  Calling the restriction evaluates f on the slice.
+    ``pairs[k]`` holds the split (c1, c2) of each coefficient of f_k, highest
+    power first, as complex numbers via 1 -> 1, I -> i; F and G are complex
+    polyanalytic in (z, conj z), and calling the restriction evaluates f.
     """
 
     I: UnitImaginary
     J: UnitImaginary
-    order: int
-    f_terms: dict = field(repr=False)
-    g_terms: dict = field(repr=False)
+    pairs: tuple = field(repr=False)
+    right_sided: bool = False
 
-    def _eval_terms(self, terms: dict, z: complex) -> complex:
-        acc = 0j
-        zbar = z.conjugate()
-        for (k, m), c in terms.items():
-            acc += zbar**k * z**m * c
-        return acc
+    def cr_values(self, js) -> Callable[[complex], list]:
+        """values(z) -> [(P_j, Q_j) for j in js] with CR^j f = P_j + Q_j J at z.
+
+        CR^j f = sum_{k>=j} k!/(k-j)! conj(z)^(k-j) (F_k(z) + G_k(z) J) by Horner
+        sums; for a right function J z^m = conj(z)^m J swaps z and conj(z) in
+        G_k and in its power factor.  Weights beyond the float range raise ValueError.
+        """
+        pairs, right_sided = self.pairs, self.right_sided
+        plans = [[(k, _finite(math.perm(k, j), "a derivative weight k!/(k-j)!") if pairs[k] else 0.0)
+                  for k in range(len(pairs) - 1, j - 1, -1)] for j in js]
+
+        def values(z: complex) -> list:
+            zb = z.conjugate()
+            zq, zqb = (zb, z) if right_sided else (z, zb)
+            fk = []
+            for cs in pairs:
+                p = q = 0j
+                for c1, c2 in cs:
+                    p, q = p * z + c1, q * zq + c2
+                fk.append((p, q))
+            out = []
+            for plan in plans:
+                p = q = 0j
+                for k, weight in plan:
+                    p, q = p * zb + weight * fk[k][0], q * zqb + weight * fk[k][1]
+                out.append((p, q))
+            return out
+
+        return values
 
     def F(self, z: complex) -> complex:
-        return self._eval_terms(self.f_terms, z)
+        return self.cr_values((0,))(z)[0][0]
 
     def G(self, z: complex) -> complex:
-        return self._eval_terms(self.g_terms, z)
+        return self.cr_values((0,))(z)[0][1]
 
     def __call__(self, z: complex) -> Quaternion:
-        fv = embed_complex(self.F(z), self.I)
-        gv = embed_complex(self.G(z), self.I)
-        return fv + gv * self.J.to_float().u
+        (fv, gv), = self.cr_values((0,))(z)
+        return embed_complex(fv, self.I) + embed_complex(gv, self.I) * self.J.u
 
 
-def restrict(f: SlicePolyFn, i: UnitImaginary, j: UnitImaginary) -> SliceRestriction:
-    """Split the restriction f_I over the orthogonal pair (i, j).
+def restrict(f, i: UnitImaginary, j: UnitImaginary) -> SliceRestriction:
+    """Split the restriction f_I of a SlicePolyFn or RightSlicePolyFn over the pair (i, j).
 
-    Every coefficient a splits as a1 + a2 j with a1, a2 on the slice of i;
-    the (k, m) term conj(z)^k z^m a then contributes a1 to F and a2 to G.
-    Raises NotOrthogonal unless i and j anticommute.
+    The one place that splits a function's coefficients, a = a1 + a2 j with a1,
+    a2 on the slice of i; NotOrthogonal unless i and j anticommute.
     """
     frame = split_frame(i, j)
-    f_terms: dict[tuple[int, int], complex] = {}
-    g_terms: dict[tuple[int, int], complex] = {}
-    for k, comp in enumerate(f.components):
-        for m, a in enumerate(comp.coeffs):
-            c1, c2 = split_coeff(a, frame)
-            if c1:
-                f_terms[(k, m)] = f_terms.get((k, m), 0j) + c1
-            if c2:
-                g_terms[(k, m)] = g_terms.get((k, m), 0j) + c2
-    return SliceRestriction(I=i.to_float(), J=j.to_float(), order=f.order,
-                            f_terms=f_terms, g_terms=g_terms)
+    right_sided = isinstance(f, RightSlicePolyFn)
+    comps = f.components if right_sided else [c.coeffs for c in f.components]
+    pairs = [tuple(split_coeff(a, frame) for a in reversed(cs)) for cs in comps]
+    while pairs and not pairs[-1]:
+        pairs.pop()
+    return SliceRestriction(i.to_float(), j.to_float(), tuple(pairs), right_sided)
 
 
 # -- slice Cauchy-Riemann derivatives and the representation formula ------------
@@ -419,12 +442,12 @@ def appell_apply(f: SliceRegularSeries, k: int) -> SlicePolyFn:
 
 
 def appell_check(f: SliceRegularSeries, k: int) -> bool:
-    """Exact ladder identity: (1/2) V(conj(q)^k f) == k conj(q)^(k-1) f."""
-    lhs = qpoly.global_v(appell_apply(f, k).expand()) * Fraction(1, 2)
+    """Exact ladder identity: V(conj(q)^k f) == 2k conj(q)^(k-1) f."""
+    lhs = qpoly.global_v(appell_apply(f, k).expand())
     if k == 0:
         return lhs.is_zero()
     rhs = appell_apply(f, k - 1).expand() * k
-    return lhs == rhs
+    return lhs == rhs * 2
 
 
 # -- right-sided variants (for the bilinear Cauchy integral) -----------------------
@@ -458,11 +481,8 @@ class RightSlicePolyFn:
         acc = ZERO if q.is_exact else quatf()
         for k, coeffs in enumerate(self._components):
             if coeffs:
-                acc = acc + self._eval_component(k, q) * qbar**k
+                acc = acc + _horner(coeffs, q, right_coeffs=False) * qbar**k
         return acc
-
-    def _eval_component(self, k: int, q: Quaternion) -> Quaternion:
-        return _horner(self._components[k], q, right_coeffs=False)
 
     def to_float(self) -> "RightSlicePolyFn":
         return RightSlicePolyFn([[c.to_float() for c in comp] for comp in self._components])
@@ -478,4 +498,4 @@ def right_cr_derivative(
 ) -> Callable[[Quaternion], Quaternion]:
     """j-th right slice CR derivative: sum_{k >= j} k!/(k-j)! g_k(z) conj(z)^(k-j)."""
     return _cr_callable(g.order, j, lambda k, z, zpow: (
-        g._eval_component(k, z) * zpow if g.components[k] else None))
+        _horner(g.components[k], z, right_coeffs=False) * zpow if g.components[k] else None))

@@ -248,8 +248,8 @@ def suite_appell(seed: int, count: int, tol: float, nodes: int) -> SuiteReport:
 
     def conjugate_powers(r):
         k = r.randint(1, 8)
-        lhs = qpoly.global_v(qpoly.expand_qbar_power(k)) * Fraction(1, 2)
-        return lhs == qpoly.expand_qbar_power(k - 1) * k
+        lhs = qpoly.global_v(qpoly.expand_qbar_power(k))
+        return lhs == qpoly.expand_qbar_power(k - 1) * (2 * k)
 
     rep.checks.append(_exact_check("half_v_ladder", count, ladder, rng))
     rep.checks.append(_exact_check("conjugate_power_system", count, conjugate_powers, rng))
@@ -415,6 +415,11 @@ def _rel_gap(value: Quaternion, ref: Quaternion) -> float:
     return abs(value - ref) / max(1.0, abs(ref))
 
 
+def _node_sum(path: quad.CirclePath, scale: float, term: Callable) -> Quaternion:
+    """scale * sum of term(w, dw) over path.nodes(): the per-node quaternion route."""
+    return quad._reduce([term(w, dw) for w, dw in path.nodes()], scale)
+
+
 def suite_quadrature(seed: int, count: int, tol: float, nodes: int) -> SuiteReport:
     rep = SuiteReport("quadrature", seed, count)
     rng = random.Random(seed)
@@ -446,10 +451,18 @@ def suite_quadrature(seed: int, count: int, tol: float, nodes: int) -> SuiteRepo
         return _rel_gap(quad.fueter_integral(f, q, path), ref)
 
     def formulations_agree(r):
+        # the driver against (conj q - w) D^(-2) dw CR^(n-1) f in quaternion arithmetic
         f = _rand_slicefn(r, r.randint(1, 3), 4)
         q = _rand_point(r, 0.0, 0.6)
         path = quad.CirclePath(_rand_unit(r), 1.0, nodes)
-        return _rel_gap(quad.fueter_integral(f, q, path), quad.fueter_integral_explicit(f, q, path))
+        top = slice_cr_derivative(f.to_float(), path.unit, f.order - 1)
+
+        def term(w, dw):
+            dinv = (w * w - w * (2.0 * q.w) + quatf(q.norm_sq())).inverse()
+            return (q.conjugate() - w) * (dinv * dinv) * dw * top(w)
+
+        explicit = _node_sum(path, 2.0**f.order / math.pi, term)
+        return _rel_gap(quad.fueter_integral(f, q, path), explicit)
 
     def bilinear_vanishes(r):
         n = r.randint(1, 3)
@@ -466,8 +479,7 @@ def suite_quadrature(seed: int, count: int, tol: float, nodes: int) -> SuiteRepo
         path = quad.CirclePath(UnitImaginary(Quaternion(0, 1, 0, 0)), 1.0, nodes)
         good = _rel_gap(quad.poly_cauchy_eval(f, q, path), f.evaluate(q))
         deriv = slice_cr_derivative(f.to_float(), path.unit, 0)
-        terms = [kernels.f_j(w, q, 0) * deriv(w) * dw for w, dw in path.nodes()]
-        swapped = quad._reduce(terms, 0.5 / math.pi)
+        swapped = _node_sum(path, 0.5 / math.pi, lambda w, dw: kernels.f_j(w, q, 0) * deriv(w) * dw)
         bad = _rel_gap(swapped, f.evaluate(q))
         return good if bad > 1e-3 else float("inf")
 
@@ -498,6 +510,8 @@ def run_suites(names: list[str], seed: int = 42, count: int = 12, tol: float = 1
                nodes: int = 512) -> list[SuiteReport]:
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     if "all" in names:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]

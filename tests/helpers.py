@@ -2,18 +2,22 @@
 
 The oracles here deliberately avoid the package's arithmetic paths: naive_mul
 works off the literal basis multiplication table, and naive_poly_eval walks a
-raw term dictionary, so the tests cross two independent implementations
-wherever a derived value is asserted.  The seeded generators are the verify
+raw term dictionary, and pointwise_integral sums quaternion sandwiches node
+by node instead of using the slice-complex driver, so the tests cross two
+independent implementations wherever a derived value is asserted.  The seeded generators are the verify
 suites' own corpus, re-exported under public names: they only draw inputs,
 and one corpus means the tests and the suites draw the same instances.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
+from slicepoly import kernels
 from slicepoly.quat import Quaternion, quatf
+from slicepoly.slicefn import right_cr_derivative, slice_cr_derivative
 from slicepoly.verify import (  # noqa: F401  (re-exported for the tests)
     _rand_circle_node as rand_circle_node,
     _rand_point as rand_point,
@@ -64,3 +68,38 @@ def rand_nonzero_quat(rng: random.Random, cmax: int = 3) -> Quaternion:
 
 def exact(n, d=1) -> Fraction:
     return Fraction(n, d)
+
+
+def pointwise_integral(kind, f, g, q, path):
+    """An integral as pointwise quaternion sandwiches kernel * dw * derivative.
+
+    Built from path.nodes(), the kernels module and the CR-derivative
+    callables, and reduced per component with fsum; returns the value and
+    the node terms.
+    """
+    nodes = path.nodes()
+    ff, n = f.to_float(), f.order
+    if kind == "residual":
+        lder = [slice_cr_derivative(ff, path.unit, j) for j in range(n)]
+        rder = [right_cr_derivative(g.to_float(), path.unit, j) for j in range(n)]
+        terms = [rder[n - 1 - j](w) * dw * lder[j](w) * (-1.0) ** j
+                 for w, dw in nodes for j in range(n)]
+        scale = 1.0
+    elif kind == "cauchy":
+        der = [slice_cr_derivative(ff, path.unit, j) for j in range(n)]
+        terms = [kernels.f_j(w, q, j) * dw * der[j](w) * (-2.0) ** j
+                 for w, dw in nodes for j in range(n)]
+        scale = 0.5 / math.pi
+    elif kind == "fueter":
+        top = slice_cr_derivative(ff, path.unit, n - 1)
+        terms = [kernels.delta_s_inv(w, q) * dw * top(w) for w, dw in nodes]
+        scale = 2.0 ** (n - 1) / (2.0 * math.pi)
+    else:
+        top = slice_cr_derivative(ff, path.unit, n - 1)
+        terms = []
+        for w, dw in nodes:
+            dinv = (w * w - w * (2.0 * q.w) + quatf(q.norm_sq())).inverse()
+            terms.append((q.conjugate() - w) * (dinv * dinv) * dw * top(w))
+        scale = 2.0**n / math.pi
+    value = Quaternion(*(math.fsum(getattr(t, c) for t in terms) * scale for c in "wxyz"))
+    return value, terms

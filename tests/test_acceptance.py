@@ -33,11 +33,11 @@ from slicepoly.quad import (
     CirclePath,
     cauchy_theorem_residual,
     fueter_integral,
-    fueter_integral_explicit,
     poly_cauchy_eval,
 )
 
 from helpers import (
+    pointwise_integral,
     rand_circle_node,
     rand_point,
     rand_qpoly,
@@ -193,7 +193,7 @@ def test_criterion_07_integral_fueter_map():
         q = rand_point(rng, 0.0, 0.6)
         path = CirclePath(rand_unit(rng), 1.0, 512)
         a = fueter_integral(f, q, path)
-        b = fueter_integral_explicit(f, q, path)
+        b, _ = pointwise_integral("explicit", f, None, q, path)
         ref = tau_n(f.expand(), f.order).evaluate(q)
         worst_sym = max(worst_sym, rel_gap(a, ref))
         worst_pair = max(worst_pair, rel_gap(a, b))

@@ -110,6 +110,10 @@ class TestVerify:
     def test_negative_count_exits_one(self, capsys):
         assert run_cli(capsys, "verify", "appell", "--count", "-5") == (1, "")
 
+    def test_non_finite_or_negative_tolerance_exits_one(self, capsys):
+        for tol in ("nan", "inf", "-inf", "-1"):
+            assert run_cli(capsys, "verify", "quadrature", "--count", "1", f"--tol={tol}") == (1, "")
+
     def test_determinism(self, capsys):
         _, out1 = run_cli(capsys, "verify", "kernels", "--seed", "5", "--count", "4")
         _, out2 = run_cli(capsys, "verify", "kernels", "--seed", "5", "--count", "4")
@@ -386,7 +390,7 @@ class TestVerifyDigests:
         (("kernels", "--seed", "7", "--count", "20"),
          "0c89a6882325a6907e70b57324e607b98e285b7b3273f9df4cf06e580985de13"),
         (("quadrature", "--seed", "7", "--count", "3"),
-         "6e01c46ce517aab87f1f7922fcacb8484555df0f6e93c056812a01fd6fa3c32f"),
+         "19f54df0c8d9e1af0da865cdb1b1504fe2ecde940a057aefc73b0df7d5459728"),
     ]
 
     @pytest.mark.parametrize("argv, digest", CASES, ids=[argv[0] for argv, _ in CASES])

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from slicepoly import kernels, qpoly, quad
+from slicepoly import kernels, qpoly, quad, verify
 from slicepoly.errors import OnSingularSphere, OrderMismatch, OutsideContour
 from slicepoly.oracle import fd_cauchy_fueter
 from slicepoly.quad import (
@@ -20,11 +20,10 @@ from slicepoly.slicefn import (
     RightSlicePolyFn,
     SlicePolyFn,
     SliceRegularSeries,
-    right_cr_derivative,
     slice_cr_derivative,
 )
 
-from helpers import rand_point, rand_rightfn, rand_slicefn, rand_unit
+from helpers import pointwise_integral, rand_point, rand_rightfn, rand_slicefn, rand_unit
 
 S = SliceRegularSeries
 
@@ -159,9 +158,8 @@ class TestFueterIntegral:
             f = rand_slicefn(rng, rng.randint(1, 3), 4)
             q = rand_point(rng, 0.0, 0.6)
             path = CirclePath(rand_unit(rng), 1.0, 512)
-            a = fueter_integral(f, q, path)
-            b = fueter_integral_explicit(f, q, path)
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+            # -1 * 2^n/pi = -4 * 2^(n-1)/(2 pi) exactly in binary64
+            assert fueter_integral_explicit(f, q, path) == fueter_integral(f, q, path)
 
     def test_explicit_on_constant(self):
         got = fueter_integral_explicit(fn([ONE]), quatf(0.2, 0.3), PATH)
@@ -275,41 +273,6 @@ class TestOrderingSensitivity:
         assert abs(swapped - ref) > 1e-3
 
 
-def _pointwise(kind, f, g, q, path):
-    """An integral as pointwise quaternion sandwiches kernel * dw * derivative.
-
-    Built from path.nodes(), the kernels module and the CR-derivative
-    callables, and reduced per component with fsum; returns the value and
-    the node terms.
-    """
-    nodes = path.nodes()
-    ff, n = f.to_float(), f.order
-    if kind == "residual":
-        lder = [slice_cr_derivative(ff, path.unit, j) for j in range(n)]
-        rder = [right_cr_derivative(g.to_float(), path.unit, j) for j in range(n)]
-        terms = [rder[n - 1 - j](w) * dw * lder[j](w) * (-1.0) ** j
-                 for w, dw in nodes for j in range(n)]
-        scale = 1.0
-    elif kind == "cauchy":
-        der = [slice_cr_derivative(ff, path.unit, j) for j in range(n)]
-        terms = [kernels.f_j(w, q, j) * dw * der[j](w) * (-2.0) ** j
-                 for w, dw in nodes for j in range(n)]
-        scale = 0.5 / math.pi
-    elif kind == "fueter":
-        top = slice_cr_derivative(ff, path.unit, n - 1)
-        terms = [kernels.delta_s_inv(w, q) * dw * top(w) for w, dw in nodes]
-        scale = 2.0 ** (n - 1) / (2.0 * math.pi)
-    else:
-        top = slice_cr_derivative(ff, path.unit, n - 1)
-        terms = []
-        for w, dw in nodes:
-            dinv = (w * w - w * (2.0 * q.w) + quatf(q.norm_sq())).inverse()
-            terms.append((q.conjugate() - w) * (dinv * dinv) * dw * top(w))
-        scale = 2.0**n / math.pi
-    value = Quaternion(*(math.fsum(getattr(t, c) for t in terms) * scale for c in "wxyz"))
-    return value, terms
-
-
 class TestSliceComplexRoute:
     """The slice-complex driver against pointwise quaternion sandwiches built in the test."""
 
@@ -328,12 +291,12 @@ class TestSliceComplexRoute:
                 q = rand_point(rng, 0.0, 0.6)
                 path = CirclePath(rand_unit(rng), 1.0, n_nodes)
                 for kind, integral in self.KERNEL_INTEGRALS.items():
-                    ref, _ = _pointwise(kind, f, None, q, path)
+                    ref, _ = pointwise_integral(kind, f, None, q, path)
                     assert abs(integral(f, q, path) - ref) <= 1e-13 * max(1.0, abs(ref)), kind
                 # the residual's true value is 0, so both routes sit at the rounding
                 # floor of the node sum, a few ulps of sum |term| (over 1e-13 for
                 # some order-3 sums at N = 16)
-                ref, terms = _pointwise("residual", f, g, q, path)
+                ref, terms = pointwise_integral("residual", f, g, q, path)
                 floor = 4.0 * sys.float_info.epsilon * math.fsum(abs(t) for t in terms)
                 assert abs(cauchy_theorem_residual(f, g, path) - ref) <= max(1e-13, floor)
 
@@ -370,3 +333,33 @@ class TestSliceComplexRoute:
         # a padded order-200 constant needs no weight above 1
         f = SlicePolyFn([S([ONE])] + [S([])] * 199)
         assert poly_cauchy_eval(f, quatf(0.1, 0.2), PATH).approx_eq(quatf(1.0), 1e-12)
+        # at order 1024 the prefactor 2^1023 is still a float
+        f = SlicePolyFn([S([ONE])] + [S([])] * 1023)
+        for integral in (fueter_integral, fueter_integral_explicit):
+            assert integral(f, quatf(0.1, 0.2), PATH).is_zero()
+
+
+def _unconjugated_sum(path, left, right, scale):
+    """quad._contour_sum with J c = conj(c) J dropped from the node sandwich."""
+    s1, s2 = [], []
+    for z in path._z:
+        for (a, b), (p, q) in zip(left(z), right(z)):
+            u, v = z * p, z * q
+            s1.append(a * u - b * v)
+            s2.append(a * v + b * u)
+    r1, i1, r2, i2 = (math.fsum(getattr(t, part) for t in s)
+                      for s in (s1, s2) for part in ("real", "imag"))
+    iu, ju, ku = path._frame
+    return (quatf(r1) + iu * i1 + ju * r2 + ku * i2) * (scale * 2.0 * math.pi / path.n)
+
+
+class TestFormulationsCheck:
+    def test_fails_on_a_driver_without_the_conjugation_rule(self, monkeypatch):
+        def formulations():
+            rep = verify.suite_quadrature(seed=3, count=2, tol=1e-9, nodes=128)
+            return next(c for c in rep.checks if c.name == "kernel_formulations_agree")
+
+        assert formulations().passed
+        monkeypatch.setattr(quad, "_contour_sum", _unconjugated_sum)
+        check = formulations()
+        assert not check.passed and check.max_error > 1e-3

@@ -178,10 +178,10 @@ class TestRestrict:
         z = 0.6 - 0.1j
         assert abs(r.F(z) - z.conjugate()) < 1e-15 and abs(r.G(z)) < 1e-15
 
-    def test_reconstruction_invariant(self):
-        rng = random.Random(17)
+    def _assert_reconstructs(self, seed, rand_fn):
+        rng = random.Random(seed)
         for _ in range(15):
-            f = rand_slicefn(rng, rng.randint(1, 3), 4)
+            f = rand_fn(rng, rng.randint(1, 3), 4)
             i = rand_unit(rng)
             j = canonical_perp(i)
             r = restrict(f, i, j)
@@ -190,6 +190,12 @@ class TestRestrict:
                 direct = f.evaluate(embed_complex(z, i))
                 split = r(z)
                 assert abs(split - direct) <= 1e-12 * max(1.0, abs(direct))
+
+    def test_reconstruction_invariant(self):
+        self._assert_reconstructs(17, rand_slicefn)
+
+    def test_right_function_reconstruction(self):
+        self._assert_reconstructs(19, rand_rightfn)
 
     def test_requires_anticommuting_units(self):
         with pytest.raises(NotOrthogonal):
