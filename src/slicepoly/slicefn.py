@@ -363,7 +363,7 @@ class SliceRestriction:
         return embed_complex(fv, self.I) + embed_complex(gv, self.I) * self.J.u
 
 
-def restrict(f, i: UnitImaginary, j: UnitImaginary) -> SliceRestriction:
+def restrict(f: SlicePolyFn | RightSlicePolyFn, i: UnitImaginary, j: UnitImaginary) -> SliceRestriction:
     """Split the restriction f_I of a SlicePolyFn or RightSlicePolyFn over the pair (i, j).
 
     The one place that splits a function's coefficients, a = a1 + a2 j with a1,

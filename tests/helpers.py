@@ -1,12 +1,13 @@
 """Shared test utilities: independent mini-oracles and seeded generators.
 
 The oracles here deliberately avoid the package's arithmetic paths: naive_mul
-works off the literal basis multiplication table, and naive_poly_eval walks a
-raw term dictionary, and pointwise_integral sums quaternion sandwiches node
-by node instead of using the slice-complex driver, so the tests cross two
-independent implementations wherever a derived value is asserted.  The seeded generators are the verify
-suites' own corpus, re-exported under public names: they only draw inputs,
-and one corpus means the tests and the suites draw the same instances.
+works off the literal basis multiplication table, naive_poly_eval walks a raw
+term dictionary, and pointwise_integral sums quaternion sandwiches node by
+node instead of using the slice-complex driver, so the tests cross two
+independent implementations wherever a derived value is asserted.  The seeded
+generators are the verify suites' own corpus, re-exported under public names:
+they only draw inputs, and one corpus means the tests and the suites draw the
+same instances.
 """
 
 from __future__ import annotations

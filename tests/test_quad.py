@@ -274,7 +274,7 @@ class TestOrderingSensitivity:
 
 
 class TestSliceComplexRoute:
-    """The slice-complex driver against pointwise quaternion sandwiches built in the test."""
+    """The slice-complex driver against the pointwise quaternion sandwiches of helpers."""
 
     KERNEL_INTEGRALS = {
         "cauchy": poly_cauchy_eval,
