@@ -13,8 +13,7 @@ conjugate (imaginary units multiply derivatives from the left), the global
 operator ``G = |vec|^2 d/dx0 + vec * sum x_l d/dx_l``, its normalization
 ``V = G / |vec|^2`` realized as exact division, its powers ``V^k``, the
 iterated map ``tau_n = laplacian o V^(n-1)``, and the componentwise map
-``c_n = sum x0^k laplacian(f_k)``.  Products and powers refuse a total degree
-above the constant ``DEGREE_CAP`` before they do any work.
+``c_n = sum x0^k laplacian(f_k)``.
 
 The Laplacian, both Cauchy-Fueter operators and ``G`` are single sweeps over
 the term dict: each term ``x^a c`` emits its image terms into one dict, and
@@ -24,6 +23,14 @@ permutation of the coefficient tuple, and in ``G`` the radial part
 (Euler's identity), so no intermediate polynomial is built.  Float evaluation
 sums each component with ``math.fsum``, so its value does not depend on the
 order of the terms.
+
+Each monomial is one int key with 7-bit fields ``d<<28 | a0<<21 | a1<<14 |
+a2<<7 | a3``, ``d`` the total degree.  No polynomial exceeds total degree
+``DEGREE_CAP`` = 64 < 128: the constructor refuses more, and products, powers
+and ``G`` refuse a larger image before any work.  So no field carries into the
+next: a product term's key is the sum of its factors' keys, and each operator
+moves keys by constant steps.  The low 28 bits order keys lexicographically by
+exponent, the canonical order of ``terms`` and ``to_json``.
 
 Values are immutable after construction and all operations are pure.
 """
@@ -43,29 +50,34 @@ Coef = tuple  # an exact coefficient as its components (w, x, y, z), ints or Fra
 
 _ZERO_EXP: Exponent = (0, 0, 0, 0)
 
-#: hard bound on the total degree of products and powers; protects memory when they run away
+#: hard bound on the total degree of every polynomial; protects memory when products run away
 DEGREE_CAP = 64
+
+# key layout (see the module docstring): _E[l] is the key step of multiplying by x_l
+_LOW = (1 << 28) - 1
+_E0, _E1, _E2, _E3 = _E = tuple((1 << 28) + (1 << s) for s in (21, 14, 7, 0))
 
 
 class QPoly:
     """Sparse polynomial with exact quaternion coefficients.
 
-    Stored in canonical form: no zero coefficients.  Each coefficient is kept
-    as a plain ``(w, x, y, z)`` tuple of ints and Fractions; ``Quaternion``
-    values appear only at the API (constructor, ``terms``, ``coeff``, exact
-    ``evaluate``).  Treat instances as immutable; operations return new values.
+    Stored in canonical form: no zero coefficients.  Each packed monomial key
+    maps to a plain ``(w, x, y, z)`` tuple of ints and Fractions; exponent
+    tuples and ``Quaternion`` values appear only at the API (constructor, ``terms``,
+    ``coeff``, ``to_json``, exact ``evaluate``).  Treat instances as immutable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_decoded")
 
     def __init__(self, terms: Mapping[Exponent, Quaternion] | None = None):
-        clean: dict[Exponent, Coef] = {}
+        clean: dict[int, Coef] = {}
         if terms:
             for exp, coef in terms.items():
-                exp, c = _exponent(exp), _coef(coef)
+                k, c = _pack(_exponent(exp)), _coef(coef)
                 if any(c):
-                    clean[exp] = c
+                    clean[k] = c
         self._terms = clean
+        self._decoded = None
 
     # -- constructors -------------------------------------------------------
 
@@ -93,10 +105,15 @@ class QPoly:
 
     def terms(self) -> list[tuple[Exponent, Quaternion]]:
         """Terms in canonical (lexicographic exponent) order."""
-        return [(e, Quaternion._new(*self._terms[e])) for e in sorted(self._terms)]
+        return [(_unpack(k), Quaternion._new(*self._terms[k]))
+                for k in sorted(self._terms, key=_LOW.__and__)]
 
     def coeff(self, exp: Exponent) -> Quaternion:
-        c = self._terms.get(tuple(exp))
+        """The coefficient of x^exp; ZERO for any exponent no polynomial can hold."""
+        try:
+            c = self._terms.get(_pack(_exponent(exp)))
+        except (ValueError, DegreeCapExceeded):
+            return ZERO
         return ZERO if c is None else Quaternion._new(*c)
 
     def is_zero(self) -> bool:
@@ -107,7 +124,7 @@ class QPoly:
         """Max total degree; float('-inf') for the zero polynomial."""
         if not self._terms:
             return float("-inf")
-        return max(map(sum, self._terms))
+        return max(self._terms) >> 28
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPoly):
@@ -157,13 +174,13 @@ class QPoly:
         if isinstance(other, QPoly):
             # H[x0..x3] has no zero divisors, so deg(pq) = deg p + deg q exactly
             _refuse_degree(self.degree + other.degree)
-            out: dict[Exponent, Coef] = {}
+            out: dict[int, Coef] = {}
             get = out.get
             rhs = other._terms.items()
             # _hamilton inlined: a call per pair of terms is measurably slower
-            for (p0, p1, p2, p3), (a, b, c, d) in self._terms.items():
-                for (r0, r1, r2, r3), (e, f, g, h) in rhs:
-                    k = (p0 + r0, p1 + r1, p2 + r2, p3 + r3)
+            for pk, (a, b, c, d) in self._terms.items():
+                for rk, (e, f, g, h) in rhs:
+                    k = pk + rk
                     w = a * e - b * f - c * g - d * h
                     x = a * f + b * e + c * h - d * g
                     y = a * g - b * h + c * e + d * f
@@ -224,16 +241,20 @@ class QPoly:
         point performs the one-way exact-to-float conversion per coefficient.
         """
         pw, px, py, pz = point.w, point.x, point.y, point.z
+        # a stencil evaluates one polynomial many times: keep the unpacked exponents
+        terms = self._decoded
+        if terms is None:
+            terms = self._decoded = [(_unpack(k), c) for k, c in self._terms.items()]
         if point.is_exact:
             w = x = y = z = 0
-            for (a0, a1, a2, a3), (cw, cx, cy, cz) in self._terms.items():
+            for (a0, a1, a2, a3), (cw, cx, cy, cz) in terms:
                 m = pw**a0 * px**a1 * py**a2 * pz**a3
                 w, x, y, z = w + cw * m, x + cx * m, y + cy * m, z + cz * m
             return Quaternion._new(w, x, y, z)
         # fsum rounds each component once, so the value does not depend on the
         # order in which the terms were inserted
         ws, xs, ys, zs = [], [], [], []
-        for (a0, a1, a2, a3), (cw, cx, cy, cz) in self._terms.items():
+        for (a0, a1, a2, a3), (cw, cx, cy, cz) in terms:
             m = pw**a0 * px**a1 * py**a2 * pz**a3
             ws.append(float(cw) * m)
             xs.append(float(cx) * m)
@@ -244,8 +265,8 @@ class QPoly:
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"terms": [{"exp": list(exp), "coef": [str(v) for v in self._terms[exp]]}
-                          for exp in sorted(self._terms)]}
+        return {"terms": [{"exp": list(_unpack(k)), "coef": [str(v) for v in self._terms[k]]}
+                          for k in sorted(self._terms, key=_LOW.__and__)]}
 
     @classmethod
     def from_json(cls, data) -> "QPoly":
@@ -264,9 +285,10 @@ class QPoly:
         return cls(terms)
 
 
-def _wrap(terms: dict[Exponent, Coef]) -> QPoly:
+def _wrap(terms: dict[int, Coef]) -> QPoly:
     p = QPoly.__new__(QPoly)
     p._terms = terms
+    p._decoded = None
     return p
 
 
@@ -277,11 +299,20 @@ def _refuse_degree(degree) -> None:
 
 
 def _exponent(exp) -> Exponent:
-    """A validated exponent tuple: four nonnegative ints, never bools."""
+    """A validated exponent tuple: four nonnegative ints, never bools, of total degree <= DEGREE_CAP."""
     exp = tuple(exp)
     if len(exp) != 4 or any(type(a) is not int or a < 0 for a in exp):
         raise ValueError(f"bad exponent {exp!r}")
+    _refuse_degree(sum(exp))
     return exp
+
+
+def _pack(exp: Exponent) -> int:
+    return sum(exp) << 28 | exp[0] << 21 | exp[1] << 14 | exp[2] << 7 | exp[3]
+
+
+def _unpack(k: int) -> Exponent:
+    return (k >> 21 & 127, k >> 14 & 127, k >> 7 & 127, k & 127)
 
 
 def _real(s):
@@ -343,19 +374,18 @@ def partial(p: QPoly, axis: int) -> QPoly:
     """Formal partial derivative along coordinate ``axis`` (0..3)."""
     if axis not in (0, 1, 2, 3):
         raise ValueError("axis must be 0..3")
-    out: dict[Exponent, Coef] = {}
-    for exp, (w, x, y, z) in p._terms.items():
-        a = exp[axis]
+    out: dict[int, Coef] = {}
+    shift, step = 21 - 7 * axis, _E[axis]
+    for k, (w, x, y, z) in p._terms.items():
+        a = k >> shift & 127
         if a:
-            e = list(exp)
-            e[axis] = a - 1
-            out[tuple(e)] = (w * a, x * a, y * a, z * a)
+            out[k - step] = (w * a, x * a, y * a, z * a)
     return _wrap(out)
 
 
-def _collect(pairs: Iterable[tuple[Exponent, Coef]]) -> QPoly:
-    """Sum (exponent, nonzero coefficient) pairs into one QPoly, dropping sums that cancel."""
-    out: dict[Exponent, Coef] = {}
+def _collect(pairs: Iterable[tuple[int, Coef]]) -> QPoly:
+    """Sum (key, nonzero coefficient) pairs into one QPoly, dropping sums that cancel."""
+    out: dict[int, Coef] = {}
     get = out.get
     for k, c in pairs:
         acc = get(k)
@@ -372,55 +402,63 @@ def _collect(pairs: Iterable[tuple[Exponent, Coef]]) -> QPoly:
 
 # Left multiplication by e1, e2, e3 is a signed permutation of (w, x, y, z):
 #   e1 c = (-x, w, -z, y),  e2 c = (-y, z, w, -x),  e3 c = (-z, -y, x, w).
+# Each sweep moves keys by constant steps: the Laplacian by x_l^-2, the
+# |vec|^2 d/dx0 part of G by x0^-1 x_l^2.
+_L0, _L1, _L2, _L3 = (2 * e for e in _E)
+_G1, _G2, _G3 = (2 * e - _E0 for e in (_E1, _E2, _E3))
 
 
 def _laplacian_terms(p: QPoly):
-    for (a0, a1, a2, a3), (w, x, y, z) in p._terms.items():
+    for k, (w, x, y, z) in p._terms.items():
+        a0, a1 = k >> 21 & 127, k >> 14 & 127
+        a2, a3 = k >> 7 & 127, k & 127
         if a0 > 1:
             m = a0 * (a0 - 1)
-            yield (a0 - 2, a1, a2, a3), (m * w, m * x, m * y, m * z)
+            yield k - _L0, (m * w, m * x, m * y, m * z)
         if a1 > 1:
             m = a1 * (a1 - 1)
-            yield (a0, a1 - 2, a2, a3), (m * w, m * x, m * y, m * z)
+            yield k - _L1, (m * w, m * x, m * y, m * z)
         if a2 > 1:
             m = a2 * (a2 - 1)
-            yield (a0, a1, a2 - 2, a3), (m * w, m * x, m * y, m * z)
+            yield k - _L2, (m * w, m * x, m * y, m * z)
         if a3 > 1:
             m = a3 * (a3 - 1)
-            yield (a0, a1, a2, a3 - 2), (m * w, m * x, m * y, m * z)
+            yield k - _L3, (m * w, m * x, m * y, m * z)
 
 
 def _fueter_terms(p: QPoly, sign: int):
-    for (a0, a1, a2, a3), (w, x, y, z) in p._terms.items():
-        if a0:
-            yield (a0 - 1, a1, a2, a3), (a0 * w, a0 * x, a0 * y, a0 * z)
-        if a1:
-            m = sign * a1
-            yield (a0, a1 - 1, a2, a3), (-m * x, m * w, -m * z, m * y)
-        if a2:
-            m = sign * a2
-            yield (a0, a1, a2 - 1, a3), (-m * y, m * z, m * w, -m * x)
-        if a3:
-            m = sign * a3
-            yield (a0, a1, a2, a3 - 1), (-m * z, -m * y, m * x, m * w)
+    for k, (w, x, y, z) in p._terms.items():
+        a = k >> 21 & 127
+        if a:
+            yield k - _E0, (a * w, a * x, a * y, a * z)
+        m = sign * (k >> 14 & 127)
+        if m:
+            yield k - _E1, (-m * x, m * w, -m * z, m * y)
+        m = sign * (k >> 7 & 127)
+        if m:
+            yield k - _E2, (-m * y, m * z, m * w, -m * x)
+        m = sign * (k & 127)
+        if m:
+            yield k - _E3, (-m * z, -m * y, m * x, m * w)
 
 
 def _g_terms(p: QPoly):
-    for (a0, a1, a2, a3), (w, x, y, z) in p._terms.items():
+    for k, (w, x, y, z) in p._terms.items():
+        a0 = k >> 21 & 127
         if a0:
             # |vec|^2 d/dx0
             c = (a0 * w, a0 * x, a0 * y, a0 * z)
-            yield (a0 - 1, a1 + 2, a2, a3), c
-            yield (a0 - 1, a1, a2 + 2, a3), c
-            yield (a0 - 1, a1, a2, a3 + 2), c
-        r = a1 + a2 + a3
+            yield k + _G1, c
+            yield k + _G2, c
+            yield k + _G3, c
+        r = (k >> 28) - a0
         if r:
             # sum_l x_l d/dx_l scales the term by its vector degree r (Euler),
             # then vec = sum_l x_l e_l multiplies from the left
             w, x, y, z = r * w, r * x, r * y, r * z
-            yield (a0, a1 + 1, a2, a3), (-x, w, -z, y)
-            yield (a0, a1, a2 + 1, a3), (-y, z, w, -x)
-            yield (a0, a1, a2, a3 + 1), (-z, -y, x, w)
+            yield k + _E1, (-x, w, -z, y)
+            yield k + _E2, (-y, z, w, -x)
+            yield k + _E3, (-z, -y, x, w)
 
 
 def laplacian(p: QPoly) -> QPoly:
@@ -470,16 +508,17 @@ def divide_by_vecnorm_sq(p: QPoly) -> QPoly:
     Terms sit in buckets by x1-degree, emptied from the top down: peeling a
     term of x1-degree d only touches bucket d - 2.
     """
-    buckets: dict[int, dict[Exponent, Coef]] = {}
-    for exp, coef in p._terms.items():
-        buckets.setdefault(exp[1], {})[exp] = coef
-    quot: dict[Exponent, Coef] = {}
+    buckets: dict[int, dict[int, Coef]] = {}
+    for k, coef in p._terms.items():
+        buckets.setdefault(k >> 14 & 127, {})[k] = coef
+    quot: dict[int, Coef] = {}
     for d in range(max(buckets, default=0), 1, -1):
         below = buckets.setdefault(d - 2, {})
-        for (a0, _, a2, a3), c in buckets.pop(d, {}).items():
-            quot[(a0, d - 2, a2, a3)] = c
+        for k, c in buckets.pop(d, {}).items():
+            k -= 2 * _E1
+            quot[k] = c
             w, x, y, z = c
-            for e in ((a0, d - 2, a2 + 2, a3), (a0, d - 2, a2, a3 + 2)):
+            for e in (k + 2 * _E2, k + 2 * _E3):
                 old = below.get(e, (0, 0, 0, 0))
                 s = (old[0] - w, old[1] - x, old[2] - y, old[3] - z)
                 if s[0] or s[1] or s[2] or s[3]:

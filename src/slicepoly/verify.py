@@ -195,8 +195,9 @@ def suite_leibniz(seed: int, count: int, tol: float, nodes: int) -> SuiteReport:
         f = _rand_series(r, r.randint(0, 4)).expand()
         k = r.randint(1, 8)
         qb = qpoly.expand_qbar_power
-        g_ok = qpoly.global_g(qb(k) * f) == (qpoly.VEC_NORM_SQ_POLY * (qb(k - 1) * f)) * (2 * k)
-        v_ok = qpoly.global_v(qb(k) * f) == (qb(k - 1) * f) * (2 * k)
+        top, rung = qb(k) * f, (qb(k - 1) * f) * (2 * k)
+        g_ok = qpoly.global_g(top) == qpoly.VEC_NORM_SQ_POLY * rung
+        v_ok = qpoly.global_v(top) == rung
         return g_ok and v_ok
 
     def dirac_power(r):

@@ -307,6 +307,12 @@ class TestWorkBounds:
             for op in ("D", "V", "tau", "c_n")[:3 if spec is late else 4]:
                 assert run_cli(capsys, "apply", op, spec) == (2, CAP_ERROR)
 
+    def test_raw_polynomial_above_the_cap(self, capsys, monkeypatch):
+        _budget(monkeypatch, QPoly, "__mul__", 0)
+        for op, exp in (("laplacian", [100, 0, 0, 0]), ("D", [0, 0, 0, 100000000])):
+            spec = json.dumps({"terms": [{"exp": exp, "coef": [1, 0, 0, 0]}]})
+            assert run_cli(capsys, "apply", op, spec) == (2, CAP_ERROR)
+
     def test_zero_denominator_is_an_input_error(self, capsys):
         for coef in ('["1/0",0,0,0]', '"1/0"', '[0,0,"-3/0",0]'):
             spec = '{"order":1,"components":[[%s]]}' % coef

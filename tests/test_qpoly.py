@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -398,6 +399,14 @@ class TestDegreeCap:
             out = capsys.readouterr().out
             assert QPoly.from_json(json.loads(out)).degree < DEGREE_CAP
 
+    def test_construction_refuses_above_the_cap(self):
+        for exp in ((DEGREE_CAP + 1, 0, 0, 0), (0, 0, 0, 100000000), (16, 16, 16, 17)):
+            with pytest.raises(DegreeCapExceeded):
+                QPoly({exp: ONE})
+            with pytest.raises(DegreeCapExceeded):
+                QPoly.from_json({"terms": [{"exp": list(exp), "coef": [1, 0, 0, 0]}]})
+        assert QPoly({(16, 16, 16, 16): ONE}).degree == DEGREE_CAP
+
     def test_refused_before_any_product(self, monkeypatch):
         cube = qpoly.X0**3
         calls = []
@@ -569,3 +578,82 @@ class TestOperatorSweeps:
             assert (kind, got) == (want_kind, want), sweep.__name__
             assert got.to_json() == want.to_json()
             assert all(any(c) for c in got._terms.values())
+
+
+# -- packed monomial keys at the field boundaries -------------------------------------
+
+AXES = (qpoly.X0, qpoly.X1, qpoly.X2, qpoly.X3)
+UNITS = (ONE, E1, E2, E3)
+
+
+def _unit_exp(axis: int, a: int, extra: int | None = None) -> tuple:
+    """a on ``axis``, plus one on ``extra`` when given."""
+    return tuple(a * (i == axis) + (i == extra) for i in range(4))
+
+
+def _assert_sweeps_match_rings(p: QPoly, sweeps=SWEEPS):
+    for sweep, ring in sweeps:
+        assert _outcome(sweep, p) == _outcome(ring, p), sweep.__name__
+
+
+class TestPackedKeys:
+    """Every field of a key reaches 64 = DEGREE_CAP; read back through exponent tuples."""
+
+    def test_axis_powers_at_the_cap(self):
+        for axis, x in enumerate(AXES):
+            top = x**DEGREE_CAP
+            assert top.terms() == [(_unit_exp(axis, DEGREE_CAP), ONE)]
+            assert top.degree == DEGREE_CAP
+            assert top.coeff(_unit_exp(axis, DEGREE_CAP)) == ONE
+            assert x ** (DEGREE_CAP // 2) * x ** (DEGREE_CAP // 2) == top
+
+    def test_products_that_fill_a_field(self):
+        assert ((qpoly.X0**40) * (qpoly.X1**24)).terms() == [((40, 24, 0, 0), ONE)]
+        mixed = (qpoly.X0**16 * qpoly.X1**16) * (qpoly.X2**16 * qpoly.X3**16)
+        assert mixed.terms() == [((16, 16, 16, 16), ONE)]
+        # (x0 + x3)^64 touches every split of 64 between the first and last field
+        binom = (qpoly.X0 + qpoly.X3) ** DEGREE_CAP
+        assert [e for e, _ in binom.terms()] == [(a, 0, 0, DEGREE_CAP - a)
+                                                 for a in range(DEGREE_CAP + 1)]
+        assert binom.coeff((32, 0, 0, 32)) == ONE * math.comb(64, 32)
+
+    def test_global_g_one_below_the_cap(self):
+        a = DEGREE_CAP - 1
+        g0 = global_g(qpoly.X0**a)
+        assert g0.terms() == sorted(((a - 1, 2 * (m == 1), 2 * (m == 2), 2 * (m == 3)), ONE * a)
+                                    for m in (1, 2, 3))
+        for axis in (1, 2, 3):
+            g = global_g(AXES[axis] ** a)
+            want = sorted((_unit_exp(axis, a, m), UNITS[m] * a) for m in (1, 2, 3))
+            assert g.terms() == want and g.degree == DEGREE_CAP
+        for p in (qpoly.X0**a, *(x**a for x in AXES[1:])):
+            _assert_sweeps_match_rings(p)
+
+    def test_laplacian_and_dirac_at_the_cap(self):
+        n = DEGREE_CAP
+        for axis, x in enumerate(AXES):
+            top = x**n
+            assert laplacian(top).terms() == [(_unit_exp(axis, n - 2), ONE * (n * (n - 1)))]
+            assert cauchy_fueter(top).terms() == [(_unit_exp(axis, n - 1), UNITS[axis] * n)]
+            assert conjugate_cauchy_fueter(top).terms() == \
+                [(_unit_exp(axis, n - 1), UNITS[axis].conjugate() * n)]
+            _assert_sweeps_match_rings(top, SWEEPS[2:])
+
+    def test_division_at_the_cap(self):
+        p = qpoly.VEC_NORM_SQ_POLY * qpoly.X1 ** (DEGREE_CAP - 2)
+        assert sorted(e for e, _ in p.terms()) == [(0, 62, 0, 2), (0, 62, 2, 0), (0, 64, 0, 0)]
+        assert divide_by_vecnorm_sq(p).terms() == [((0, DEGREE_CAP - 2, 0, 0), ONE)]
+
+    @given(st.one_of(polys(), expansions()))
+    @example(QPoly.zero())
+    @example(qpoly.X3**DEGREE_CAP + qpoly.X0)
+    def test_tuple_api_round_trip(self, p):
+        terms = p.terms()
+        exps = [e for e, _ in terms]
+        assert QPoly(dict(terms)) == p
+        assert exps == sorted(exps)
+        assert p.degree == max(map(sum, exps), default=float("-inf"))
+        for e, c in terms:
+            assert p.coeff(e) == c
+        for e in ((DEGREE_CAP + 1, 0, 0, 0), (0, 0, 0, 100000000), (0, 200, 0, 0), (1, 2)):
+            assert p.coeff(e) == ZERO
