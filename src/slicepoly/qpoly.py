@@ -176,7 +176,7 @@ class QPoly:
             _refuse_degree(self.degree + other.degree)
             out: dict[int, Coef] = {}
             get = out.get
-            rhs = other._terms.items()
+            rhs = list(other._terms.items())
             # _hamilton inlined: a call per pair of terms is measurably slower
             for pk, (a, b, c, d) in self._terms.items():
                 for rk, (e, f, g, h) in rhs:
