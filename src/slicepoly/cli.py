@@ -36,10 +36,10 @@ def _read_spec(arg: str):
     elif arg.lstrip().startswith("{"):
         text = arg
     else:
-        path = Path(arg)
-        if not path.exists():
-            raise ValueError(f"spec file not found: {arg}")
-        text = path.read_text()
+        try:
+            text = Path(arg).read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read spec file {arg}: {exc.strerror or exc}") from exc
     return json.loads(text)
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import fsum
 from typing import Iterable, Mapping, Sequence
 
@@ -151,16 +152,7 @@ class QPoly:
     def __add__(self, other):
         if not isinstance(other, QPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            acc = out.get(exp)
-            if acc is not None:
-                c = (acc[0] + c[0], acc[1] + c[1], acc[2] + c[2], acc[3] + c[3])
-                if not (c[0] or c[1] or c[2] or c[3]):
-                    del out[exp]
-                    continue
-            out[exp] = c
-        return _wrap(out)
+        return _collect(other._terms.items(), dict(self._terms))
 
     def __sub__(self, other):
         if not isinstance(other, QPoly):
@@ -295,7 +287,7 @@ def _wrap(terms: dict[int, Coef]) -> QPoly:
 def _refuse_degree(degree) -> None:
     """DegreeCapExceeded for a result of total degree above DEGREE_CAP, before it is built."""
     if degree > DEGREE_CAP:
-        raise DegreeCapExceeded(f"product degree exceeds cap {DEGREE_CAP}")
+        raise DegreeCapExceeded(f"total degree exceeds cap {DEGREE_CAP}")
 
 
 def _exponent(exp) -> Exponent:
@@ -383,9 +375,10 @@ def partial(p: QPoly, axis: int) -> QPoly:
     return _wrap(out)
 
 
-def _collect(pairs: Iterable[tuple[int, Coef]]) -> QPoly:
-    """Sum (key, nonzero coefficient) pairs into one QPoly, dropping sums that cancel."""
-    out: dict[int, Coef] = {}
+def _collect(pairs: Iterable[tuple[int, Coef]], out: dict[int, Coef] | None = None) -> QPoly:
+    """Merge (key, nonzero coefficient) pairs into ``out`` (taken over) or {}; zero sums drop."""
+    if out is None:
+        out = {}
     get = out.get
     for k, c in pairs:
         acc = get(k)
@@ -398,6 +391,13 @@ def _collect(pairs: Iterable[tuple[int, Coef]]) -> QPoly:
         else:
             del out[k]
     return _wrap(out)
+
+
+def qsum(polys: Iterable[QPoly]) -> QPoly:
+    """The sum of ``polys`` in one pass: the first one's terms are copied once, the rest merged in."""
+    it = iter(polys)
+    first = next(it, QPoly.zero())
+    return _collect(chain.from_iterable(p._terms.items() for p in it), dict(first._terms))
 
 
 # Left multiplication by e1, e2, e3 is a signed permutation of (w, x, y, z):
@@ -563,20 +563,16 @@ def c_n(components: Sequence[QPoly]) -> QPoly:
     The result is poly-Fueter regular of the order given by the component
     count (the Cauchy-Fueter operator applied that many times kills it).
     """
-    acc = QPoly.zero()
-    for k, comp in enumerate(components):
-        acc = acc + X0**k * laplacian(comp)
-    return acc
+    return qsum(X0**k * laplacian(comp) for k, comp in enumerate(components))
 
 
 def build_poly_fueter(phis: Iterable[QPoly]) -> QPoly:
     """Assemble sum_k x0^k phi_k after checking each phi_k is Fueter regular."""
-    acc = QPoly.zero()
+    phis = list(phis)
     for k, phi in enumerate(phis):
         if not cauchy_fueter(phi).is_zero():
             raise NotFueterRegular(f"component {k} is not Fueter regular")
-        acc = acc + X0**k * phi
-    return acc
+    return qsum(X0**k * phi for k, phi in enumerate(phis))
 
 
 def is_poly_fueter(p: QPoly, n: int) -> bool:
@@ -596,15 +592,11 @@ def is_poly_fueter(p: QPoly, n: int) -> bool:
 
 def dirac_power_closed_form(n: int) -> QPoly:
     """-2 sum_{k=1..n} q^(n-k) conj(q)^(k-1): the Cauchy-Fueter image of q^n (n >= 2)."""
-    acc = QPoly.zero()
-    for k in range(1, n + 1):
-        acc = acc + expand_q_power(n - k) * expand_qbar_power(k - 1)
-    return acc * Fraction(-2)
+    return qsum(expand_q_power(n - k) * expand_qbar_power(k - 1)
+                for k in range(1, n + 1)) * Fraction(-2)
 
 
 def laplacian_power_closed_form(n: int) -> QPoly:
     """-4 sum_{k=1..n-1} (n-k) q^(n-k-1) conj(q)^(k-1): the Laplacian of q^n (n >= 2)."""
-    acc = QPoly.zero()
-    for k in range(1, n):
-        acc = acc + (expand_q_power(n - k - 1) * expand_qbar_power(k - 1)) * (n - k)
-    return acc * Fraction(-4)
+    return qsum((expand_q_power(n - k - 1) * expand_qbar_power(k - 1)) * (n - k)
+                for k in range(1, n)) * Fraction(-4)

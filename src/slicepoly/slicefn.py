@@ -87,11 +87,8 @@ class SliceRegularSeries:
         if not self.is_exact:
             raise TypeError("only exact series expand to polynomials")
         qpoly._refuse_degree(self.degree)
-        acc = QPoly.zero()
-        for m, a in enumerate(self._coeffs):
-            if not a.is_zero():
-                acc = acc + qpoly.expand_q_power(m) * a
-        return acc
+        return qpoly.qsum(qpoly.expand_q_power(m) * a
+                          for m, a in enumerate(self._coeffs) if not a.is_zero())
 
     def scale(self, s) -> "SliceRegularSeries":
         """Multiply every coefficient by a real scalar."""
@@ -155,22 +152,14 @@ class SlicePolyFn:
         return SlicePolyFn(comps)
 
     def evaluate(self, q: Quaternion) -> Quaternion:
-        qbar = q.conjugate()
-        acc = ZERO if q.is_exact else quatf()
-        for k, comp in enumerate(self._components):
-            if comp.is_zero():
-                continue
-            acc = acc + qbar**k * comp.evaluate(q)
-        return acc
+        """sum_k conj(q)^k f_k(q), the order-0 slice CR sum."""
+        return _cr_sum([c._coeffs for c in self._components], 0, q, left=True)
 
     def expand(self) -> QPoly:
         """Exact expansion sum_k conj(q)^k f_k as a polynomial in x0..x3."""
         qpoly._refuse_degree(max(k + c.degree for k, c in enumerate(self._components)))
-        acc = QPoly.zero()
-        for k, comp in enumerate(self._components):
-            if not comp.is_zero():
-                acc = acc + qpoly.expand_qbar_power(k) * comp.expand()
-        return acc
+        return qpoly.qsum(qpoly.expand_qbar_power(k) * comp.expand()
+                          for k, comp in enumerate(self._components) if not comp.is_zero())
 
     def component_expansions(self) -> list[QPoly]:
         return [c.expand() for c in self._components]
@@ -381,21 +370,19 @@ def restrict(f: SlicePolyFn | RightSlicePolyFn, i: UnitImaginary, j: UnitImagina
 # -- slice Cauchy-Riemann derivatives and the representation formula ------------
 
 
-def _cr_callable(order: int, j: int, term: Callable) -> Callable[[Quaternion], Quaternion]:
-    """z -> sum_{j <= k < order} term(k, z, conj(z)^(k-j)) * k!/(k-j)!, skipping None terms."""
-    if j < 0:
-        raise ValueError("derivative order must be nonnegative")
+def _cr_sum(comps: Sequence[Sequence[Quaternion]], j: int, z: Quaternion, left: bool) -> Quaternion:
+    """sum_{k >= j} k!/(k-j)! conj(z)^(k-j) f_k(z), or f_k(z) conj(z)^(k-j) unless ``left``.
 
-    def deriv(z: Quaternion) -> Quaternion:
-        acc = ZERO if z.is_exact else quatf()
-        zbar = z.conjugate()
-        for k in range(j, order):
-            t = term(k, z, zbar ** (k - j))
-            if t is not None:
-                acc = acc + t * math.perm(k, j)
-        return acc
-
-    return deriv
+    ``comps[k]`` holds the coefficients of f_k, on the right of q^m if ``left``;
+    empty ones are skipped.  At j = 0 every weight is 1 and is not multiplied in."""
+    acc = ZERO if z.is_exact else quatf()
+    zbar = z.conjugate()
+    for k in range(j, len(comps)):
+        if comps[k]:
+            fk = _horner(comps[k], z, right_coeffs=left)
+            t = zbar ** (k - j) * fk if left else fk * zbar ** (k - j)
+            acc = acc + (t * math.perm(k, j) if j else t)
+    return acc
 
 
 def slice_cr_derivative(
@@ -407,9 +394,10 @@ def slice_cr_derivative(
     depends on z, which the caller must take on the slice of ``i``; j >= order
     gives the zero function.
     """
-    comps = f.components
-    return _cr_callable(f.order, j, lambda k, z, zpow: (
-        None if comps[k].is_zero() else zpow * comps[k].evaluate(z)))
+    if j < 0:
+        raise ValueError("derivative order must be nonnegative")
+    comps = [c.coeffs for c in f.components]
+    return lambda z: _cr_sum(comps, j, z, left=True)
 
 
 def slice_extend(
@@ -477,12 +465,8 @@ class RightSlicePolyFn:
         return self._components
 
     def evaluate(self, q: Quaternion) -> Quaternion:
-        qbar = q.conjugate()
-        acc = ZERO if q.is_exact else quatf()
-        for k, coeffs in enumerate(self._components):
-            if coeffs:
-                acc = acc + _horner(coeffs, q, right_coeffs=False) * qbar**k
-        return acc
+        """sum_k g_k(q) conj(q)^k, the order-0 right slice CR sum."""
+        return _cr_sum(self._components, 0, q, left=False)
 
     def to_float(self) -> "RightSlicePolyFn":
         return RightSlicePolyFn([[c.to_float() for c in comp] for comp in self._components])
@@ -497,5 +481,6 @@ def right_cr_derivative(
     g: RightSlicePolyFn, i: UnitImaginary, j: int
 ) -> Callable[[Quaternion], Quaternion]:
     """j-th right slice CR derivative: sum_{k >= j} k!/(k-j)! g_k(z) conj(z)^(k-j)."""
-    return _cr_callable(g.order, j, lambda k, z, zpow: (
-        _horner(g.components[k], z, right_coeffs=False) * zpow if g.components[k] else None))
+    if j < 0:
+        raise ValueError("derivative order must be nonnegative")
+    return lambda z: _cr_sum(g.components, j, z, left=False)

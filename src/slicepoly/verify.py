@@ -128,25 +128,17 @@ def _rand_circle_node(rng: random.Random) -> Quaternion:
 # -- suite plumbing -------------------------------------------------------------
 
 
-def _exact_check(name: str, count: int, instance: Callable[[random.Random], bool],
-                 rng: random.Random, note: str = "") -> CheckResult:
-    if count == 0:
-        return CheckResult(name, True, 0, 0.0, note="vacuous: empty corpus")
-    failures = 0
-    for _ in range(count):
-        if not instance(rng):
-            failures += 1
-    return CheckResult(name, failures == 0, count, float(failures), note=note)
-
-
-def _float_check(name: str, count: int, tol: float,
-                 instance: Callable[[random.Random], float],
-                 rng: random.Random, note: str = "") -> CheckResult:
+def _check(name: str, count: int, instance: Callable[[random.Random], bool | float],
+           rng: random.Random, tol: float | None = None, note: str = "") -> CheckResult:
+    """Run ``instance`` ``count`` times: an exact check (``tol`` None) reports its
+    failures as the error, a float check its largest error, a NaN one as inf."""
     if count == 0:
         return CheckResult(name, True, 0, 0.0, tolerance=tol, note="vacuous: empty corpus")
-    worst = 0.0
-    for _ in range(count):
-        worst = max(worst, instance(rng))
+    results = [instance(rng) for _ in range(count)]
+    if tol is None:
+        failures = sum(not ok for ok in results)
+        return CheckResult(name, failures == 0, count, float(failures), note=note)
+    worst = max(0.0, *(math.inf if math.isnan(err) else err for err in results))
     return CheckResult(name, worst <= tol, count, worst, tolerance=tol, note=note)
 
 
@@ -236,7 +228,7 @@ def suite_leibniz(seed: int, count: int, tol: float, nodes: int) -> SuiteReport:
         ("fueter_map_regular", fueter_map_regular),
         ("slice_regular_in_global_kernel", slice_regular_kernel),
     ):
-        rep.checks.append(_exact_check(name, count, fn, rng))
+        rep.checks.append(_check(name, count, fn, rng))
     return rep
 
 
@@ -252,8 +244,8 @@ def suite_appell(seed: int, count: int, tol: float, nodes: int) -> SuiteReport:
         lhs = qpoly.global_v(qpoly.expand_qbar_power(k))
         return lhs == qpoly.expand_qbar_power(k - 1) * (2 * k)
 
-    rep.checks.append(_exact_check("half_v_ladder", count, ladder, rng))
-    rep.checks.append(_exact_check("conjugate_power_system", count, conjugate_powers, rng))
+    rep.checks.append(_check("half_v_ladder", count, ladder, rng))
+    rep.checks.append(_check("conjugate_power_system", count, conjugate_powers, rng))
     return rep
 
 
@@ -279,9 +271,9 @@ def suite_vn(seed: int, count: int, tol: float, nodes: int) -> SuiteReport:
         g = decompose(f.expand(), f.order)
         return g.expand() == f.expand() and g == f.trim()
 
-    rep.checks.append(_exact_check("power_annihilation", count, annihilation, rng))
-    rep.checks.append(_exact_check("lowers_order_componentwise", count, lowers_order, rng))
-    rep.checks.append(_exact_check("decompose_roundtrip", count, decompose_roundtrip, rng))
+    rep.checks.append(_check("power_annihilation", count, annihilation, rng))
+    rep.checks.append(_check("lowers_order_componentwise", count, lowers_order, rng))
+    rep.checks.append(_check("decompose_roundtrip", count, decompose_roundtrip, rng))
     return rep
 
 
@@ -303,9 +295,9 @@ def suite_poly_fueter(seed: int, count: int, tol: float, nodes: int) -> SuiteRep
         built = qpoly.build_poly_fueter(phis)
         return qpoly.is_poly_fueter(built, len(phis))
 
-    rep.checks.append(_exact_check("fueter_image_regular", count, tau_image_regular, rng))
-    rep.checks.append(_exact_check("componentwise_image_poly_regular", count, c_image_poly_regular, rng))
-    rep.checks.append(_exact_check("x0_assembly_poly_regular", count, x0_decomposition, rng))
+    rep.checks.append(_check("fueter_image_regular", count, tau_image_regular, rng))
+    rep.checks.append(_check("componentwise_image_poly_regular", count, c_image_poly_regular, rng))
+    rep.checks.append(_check("x0_assembly_poly_regular", count, x0_decomposition, rng))
     return rep
 
 
@@ -321,7 +313,7 @@ def suite_tauc(seed: int, count: int, tol: float, nodes: int) -> SuiteReport:
             lhs = qpoly.cauchy_fueter(lhs)
         return lhs == f.fueter_image() * Fraction(1, 2 ** (n - 1))
 
-    rep.checks.append(_exact_check("dirac_power_bridge", count, bridge, rng))
+    rep.checks.append(_check("dirac_power_bridge", count, bridge, rng))
     return rep
 
 
@@ -395,17 +387,17 @@ def suite_kernels(seed: int, count: int, tol: float, nodes: int) -> SuiteReport:
         q = quatf(r.uniform(-0.4, 0.4)) + u.u * r.uniform(-0.4, 0.4)
         return abs(kernels.s_inv(s, q) - (s - q).inverse())
 
-    rep.checks.append(_float_check("image_fueter_regular", count, 1e-5, image_regular, rng,
-                                   note="fd Cauchy-Fueter of the mapped kernel"))
-    rep.checks.append(_float_check("laplacian_matches_closed_form", count, 1e-5, laplacian_match, rng,
-                                   note="h = 1e-3 central stencil"))
-    rep.checks.append(_float_check("ladder_steps_down", count, 1e-5, ladder, rng,
-                                   note="fd V sends kernel j to minus kernel j-1"))
-    rep.checks.append(_float_check("ladder_base_vanishes", count, 1e-5, ladder_base, rng))
-    rep.checks.append(_float_check("composed_map_on_kernel", count, 1e-3, composed_map, rng,
-                                   note="Richardson over nested h = 1e-2 stencils"))
-    rep.checks.append(_float_check("right_slice_regular_in_s", count, 1e-8, right_regular, rng))
-    rep.checks.append(_float_check("common_slice_reduction", count, 1e-12, common_slice, rng))
+    rep.checks.append(_check("image_fueter_regular", count, image_regular, rng, 1e-5,
+                             note="fd Cauchy-Fueter of the mapped kernel"))
+    rep.checks.append(_check("laplacian_matches_closed_form", count, laplacian_match, rng, 1e-5,
+                             note="h = 1e-3 central stencil"))
+    rep.checks.append(_check("ladder_steps_down", count, ladder, rng, 1e-5,
+                             note="fd V sends kernel j to minus kernel j-1"))
+    rep.checks.append(_check("ladder_base_vanishes", count, ladder_base, rng, 1e-5))
+    rep.checks.append(_check("composed_map_on_kernel", count, composed_map, rng, 1e-3,
+                             note="Richardson over nested h = 1e-2 stencils"))
+    rep.checks.append(_check("right_slice_regular_in_s", count, right_regular, rng, 1e-8))
+    rep.checks.append(_check("common_slice_reduction", count, common_slice, rng, 1e-12))
     return rep
 
 
@@ -484,15 +476,15 @@ def suite_quadrature(seed: int, count: int, tol: float, nodes: int) -> SuiteRepo
         bad = _rel_gap(swapped, f.evaluate(q))
         return good if bad > 1e-3 else float("inf")
 
-    rep.checks.append(_float_check("reproduces_boundary_data", count, tol, reproduces, rng))
-    rep.checks.append(_float_check("unit_independence", count, tol, independence, rng))
-    rep.checks.append(_float_check("node_doubling_stable", min(count, 5), 1e-13, doubling, rng,
-                                   note="spectral plateau at the working node count"))
-    rep.checks.append(_float_check("fueter_integral_matches_symbolic", count, 1e-7, fueter_matches, rng))
-    rep.checks.append(_float_check("kernel_formulations_agree", count, 1e-12, formulations_agree, rng))
-    rep.checks.append(_float_check("bilinear_integral_vanishes", count, tol, bilinear_vanishes, rng))
-    rep.checks.append(_float_check("measure_placement_witness", min(count, 1), tol, placement_witness, rng,
-                                   note="infinite error reported if the swapped ordering also reproduces"))
+    rep.checks.append(_check("reproduces_boundary_data", count, reproduces, rng, tol))
+    rep.checks.append(_check("unit_independence", count, independence, rng, tol))
+    rep.checks.append(_check("node_doubling_stable", min(count, 5), doubling, rng, 1e-13,
+                             note="spectral plateau at the working node count"))
+    rep.checks.append(_check("fueter_integral_matches_symbolic", count, fueter_matches, rng, 1e-7))
+    rep.checks.append(_check("kernel_formulations_agree", count, formulations_agree, rng, 1e-12))
+    rep.checks.append(_check("bilinear_integral_vanishes", count, bilinear_vanishes, rng, tol))
+    rep.checks.append(_check("measure_placement_witness", min(count, 1), placement_witness, rng, tol,
+                             note="infinite error reported if the swapped ordering also reproduces"))
     return rep
 
 

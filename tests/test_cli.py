@@ -9,10 +9,12 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slicepoly import qpoly
+from slicepoly import kernels, qpoly
 from slicepoly.cli import main
 from slicepoly.qpoly import DEGREE_CAP, QPoly
+from slicepoly.quat import quatf
 from slicepoly.slicefn import MAX_ORDER, SlicePolyFn
+from slicepoly.verify import run_suites
 
 QBAR_SPEC = '{"order":2,"components":[[0],[[1,0,0,0]]]}'
 QBAR_QSQ_SPEC = '{"order":2,"components":[[0],[[0,0,0,0],[0,0,0,0],[1,0,0,0]]]}'
@@ -52,6 +54,14 @@ class TestApply:
     def test_missing_file_exits_one(self, capsys):
         code = main(["apply", "V", "no-such-spec.json"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [("apply", "V"), ("integrate", "residual", QBAR_SPEC, "--right-spec")])
+    def test_unreadable_spec_path_exits_one(self, capsys, tmp_path, argv):
+        # a directory makes read_text raise IsADirectoryError, an OSError like PermissionError
+        code = main([*argv, str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == f"slicepoly: input error: cannot read spec file {tmp_path}: Is a directory\n"
 
     def test_dirac_on_polynomial_spec(self, capsys):
         spec = '{"terms":[{"exp":[2,0,0,0],"coef":[1,0,0,0]}]}'
@@ -113,6 +123,21 @@ class TestVerify:
     def test_non_finite_or_negative_tolerance_exits_one(self, capsys):
         for tol in ("nan", "inf", "-inf", "-1"):
             assert run_cli(capsys, "verify", "quadrature", "--count", "1", f"--tol={tol}") == (1, "")
+
+    def test_nan_error_fails_its_check(self, capsys, monkeypatch):
+        # max(0.0, nan) is 0.0, so a NaN error must be recorded as inf to fail
+        monkeypatch.setattr(kernels, "s_inv", lambda s, q: quatf(math.nan, 0.0, 0.0, 0.0))
+        nan_checks = {"laplacian_matches_closed_form", "right_slice_regular_in_s",
+                      "common_slice_reduction"}
+        report, = run_suites(["kernels"], seed=1, count=3)
+        assert {c.name: c.max_error for c in report.checks if not c.passed} == \
+            dict.fromkeys(nan_checks, math.inf)
+        code, out = run_cli(capsys, "verify", "kernels", "--seed", "1", "--count", "3")
+        data = json.loads(out)
+        assert code == 3 and data["passed"] is False
+        failed = {c["name"]: c["max_error"] for c in data["suites"][0]["checks"] if not c["passed"]}
+        assert failed == dict.fromkeys(nan_checks, math.inf)
+        assert '"max_error": Infinity' in out
 
     def test_determinism(self, capsys):
         _, out1 = run_cli(capsys, "verify", "kernels", "--seed", "5", "--count", "4")
@@ -273,7 +298,7 @@ class TestIntegrateBoundary:
 CONST_POLY_SPEC = '{"terms":[{"exp":[0,0,0,0],"coef":[1,0,0,0]}]}'
 #: q^65 as an order-1 function spec: one nonzero coefficient above 65 zeros
 Q65_SPEC = json.dumps({"order": 1, "components": [[0] * (DEGREE_CAP + 1) + [1]]})
-CAP_ERROR = '{"error": "DegreeCapExceeded", "message": "product degree exceeds cap 64"}\n'
+CAP_ERROR = '{"error": "DegreeCapExceeded", "message": "total degree exceeds cap 64"}\n'
 
 
 def _budget(monkeypatch, owner, name, limit):

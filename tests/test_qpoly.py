@@ -1,7 +1,9 @@
 import json
 import math
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,6 +29,7 @@ from slicepoly.qpoly import (
     laplacian,
     laplacian_power_closed_form,
     partial,
+    qsum,
     tau_n,
 )
 from slicepoly.quat import E1, E2, E3, ONE, ZERO, Quaternion, quatf
@@ -371,7 +374,7 @@ class TestDegreeCap:
         X0, X1, X2 = qpoly.X0, qpoly.X1, qpoly.X2
         assert DEGREE_CAP == 64
         assert (X0**DEGREE_CAP).degree == DEGREE_CAP
-        with pytest.raises(DegreeCapExceeded, match=f"product degree exceeds cap {DEGREE_CAP}"):
+        with pytest.raises(DegreeCapExceeded, match=f"total degree exceeds cap {DEGREE_CAP}"):
             X0 ** (DEGREE_CAP + 1)
         with pytest.raises(DegreeCapExceeded):
             (X0**40 + X2) * (X1**25 + QPoly.one())
@@ -381,7 +384,7 @@ class TestDegreeCap:
         # G(x0^64) would reach degree 65: G, V and tau refuse it, as the product
         # |vec|^2 * d/dx0 inside G always did; D and the Laplacian lower the degree
         top = qpoly.X0**DEGREE_CAP
-        message = f"product degree exceeds cap {DEGREE_CAP}"
+        message = f"total degree exceeds cap {DEGREE_CAP}"
         for op in (global_g, global_v, lambda p: tau_n(p, 2)):
             with pytest.raises(DegreeCapExceeded, match=message):
                 op(top)
@@ -510,6 +513,32 @@ class TestTupleKernel:
         assert rem == s
         quot = divide_by_vecnorm_sq(p - rem)
         assert quot == r and quot * qpoly.VEC_NORM_SQ_POLY + rem == p
+
+
+# -- qsum and + against a plain dict sum ------------------------------------------------
+
+
+def dict_sum(ps) -> dict:
+    """The nonzero coefficients of sum(ps) by exponent tuple, summed over terms() one by one."""
+    out: dict = {}
+    for p in ps:
+        for e, c in p.terms():
+            out[e] = out.get(e, ZERO) + c
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+class TestSum:
+    @given(st.lists(polys(), max_size=5))
+    @example([])
+    @example([_LINEAR, -_LINEAR])
+    @example([_LINEAR, -_LINEAR, _LINEAR_CONJ, _LINEAR])
+    def test_qsum_and_add_match_a_dict_sum(self, ps):
+        before = [p.to_json() for p in ps]
+        want = dict_sum(ps)
+        for total in (qsum(ps), qsum(iter(ps)), reduce(operator.add, ps, QPoly.zero())):
+            assert dict(total.terms()) == want
+            assert all(any(c) for c in total._terms.values())
+        assert [p.to_json() for p in ps] == before
 
 
 # -- the one-pass operator sweeps against their ring-composition definitions --------

@@ -22,6 +22,7 @@ from slicepoly.slicefn import (
     series_from_expansion,
     slice_cr_derivative,
     slice_extend,
+    _horner,
 )
 
 from helpers import rand_point, rand_quat, rand_rightfn, rand_series, rand_slicefn, rand_unit
@@ -344,6 +345,63 @@ class TestRightSided:
             i = rand_unit(rng)
             z = quatf(rng.uniform(-1, 1)) + i.u * rng.uniform(-1, 1)
             assert abs(right_cr_derivative(g, i, g.order)(z)) == 0.0
+
+
+# -- evaluate is the order-0 slice CR sum ------------------------------------------------
+
+
+def loop_evaluate(h, q):
+    """Reference: the sum over components one at a time, zero components skipped:
+    conj(q)^k f_k(q) for a SlicePolyFn, g_k(q) conj(q)^k for a RightSlicePolyFn."""
+    qbar = q.conjugate()
+    acc = ZERO if q.is_exact else quatf()
+    for k, comp in enumerate(h.components):
+        if isinstance(h, SlicePolyFn):
+            if not comp.is_zero():
+                acc = acc + qbar**k * comp.evaluate(q)
+        elif comp:
+            acc = acc + _horner(comp, q, right_coeffs=False) * qbar**k
+    return acc
+
+
+def bits(q: Quaternion) -> tuple:
+    """The components with their types, floats as hex, so -0.0 and 0.0 differ."""
+    return tuple(v.hex() if type(v) is float else (type(v), v) for v in (q.w, q.x, q.y, q.z))
+
+
+def gapped_pair(rng):
+    """A left and a right function of order 4 to 6 with zero components in the middle and on top."""
+    order = rng.randint(3, 5)
+    gap = rng.randrange(1, order - 1)
+    f, g = rand_slicefn(rng, order, 4), rand_rightfn(rng, order, 4)
+    f = SlicePolyFn([S() if k == gap else c for k, c in enumerate(f.components)] + [S()])
+    g = RightSlicePolyFn([[] if k == gap else c for k, c in enumerate(g.components)] + [[]])
+    return f, g
+
+
+class TestEvaluateIsTheOrderZeroSum:
+    def test_matches_the_component_loop_bit_for_bit(self):
+        rng = random.Random(53)
+        for _ in range(30):
+            f, g = gapped_pair(rng)
+            exact_q = Quaternion(*(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)))
+            float_q = rand_point(rng, 0.1, 1.5)
+            for h, points in ((f, (exact_q, float_q)), (g, (exact_q, float_q)),
+                              (f.to_float(), (float_q,)), (g.to_float(), (float_q,))):
+                for q in points:
+                    assert bits(h.evaluate(q)) == bits(loop_evaluate(h, q))
+
+    def test_order_zero_derivative_is_evaluate(self):
+        rng = random.Random(59)
+        for _ in range(20):
+            f, g = gapped_pair(rng)
+            i = rand_unit(rng)
+            z = quatf(rng.uniform(-1, 1)) + i.u * rng.uniform(-1, 1)
+            z_exact = Quaternion(Fraction(rng.randint(-4, 4), 3), Fraction(rng.randint(-4, 4), 5), 0, 0)
+            for h, cr in ((f, slice_cr_derivative), (g, right_cr_derivative)):
+                assert bits(cr(h, U1, 0)(z_exact)) == bits(h.evaluate(z_exact))
+                hf = h.to_float()
+                assert bits(cr(hf, i, 0)(z)) == bits(hf.evaluate(z))
 
 
 class TestJsonSchema:
