@@ -34,7 +34,6 @@ from .quat import (
     ZERO,
     quatf,
     slice_decompose,
-    sphere_contains,
     sphere_of,
 )
 from .qpoly import (

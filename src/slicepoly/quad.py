@@ -201,9 +201,8 @@ def unit_independence_check(
     unit2: UnitImaginary,
     rho: float = 1.0,
     n: int = 512,
-    integral: Callable[[SlicePolyFn, Quaternion, CirclePath], Quaternion] = poly_cauchy_eval,
 ) -> float:
-    """Absolute gap between the same integral evaluated over two slice contours."""
-    a = integral(f, q, CirclePath(unit1, rho, n))
-    b = integral(f, q, CirclePath(unit2, rho, n))
+    """Absolute gap between the Cauchy integrals of f at q over two slice contours."""
+    a = poly_cauchy_eval(f, q, CirclePath(unit1, rho, n))
+    b = poly_cauchy_eval(f, q, CirclePath(unit2, rho, n))
     return abs(a - b)

@@ -342,7 +342,3 @@ class QSphere:
 
 def sphere_of(s: Quaternion) -> QSphere:
     return QSphere(s.w, s.vec_norm_sq())
-
-
-def sphere_contains(sphere: QSphere, q: Quaternion, tol: float = DEFAULT_TOL) -> bool:
-    return sphere.contains(q, tol)

@@ -16,12 +16,14 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Sequence
 
 from . import qpoly
 from .errors import NotDivisible, NotInClass, NotOrthogonal
 from .qpoly import QPoly
-from .quat import Quaternion, UnitImaginary, ZERO, quatf, slice_decompose
+from .quat import E1, Quaternion, UnitImaginary, ZERO, quatf, slice_decompose
 
 
 def _horner(coeffs: Sequence[Quaternion], q: Quaternion, right_coeffs: bool) -> Quaternion:
@@ -204,47 +206,41 @@ def _parse_fn_json(data) -> tuple[int, list[SliceRegularSeries]]:
 
 
 def series_from_expansion(p: QPoly) -> SliceRegularSeries:
-    """Recover sum_m q^m a_m from its expansion; NotInClass if p is not slice regular.
-
-    a_m is the coefficient of the pure x0^m monomial, because q^m is the only
-    power contributing that monomial (with unit coefficient).
-    """
-    if p.is_zero():
-        return SliceRegularSeries()
-    series = SliceRegularSeries([p.coeff((m, 0, 0, 0)) for m in range(int(p.degree) + 1)])
-    if series.expand() != p:
-        raise NotInClass("polynomial is not the expansion of a slice regular series")
-    return series
+    """Recover sum_m q^m a_m from its expansion; NotInClass if p is not slice regular."""
+    return decompose(p, 1).components[0]
 
 
 def decompose(p: QPoly, n: int) -> SlicePolyFn:
     """Recover the unique components of an order-n slice polyanalytic expansion.
 
-    Peels from the top: V^k applied to the residual isolates
-    2^k k! (f_k expansion), which is read back into a series and scaled by
-    1/(2^k k!).  Returns the minimal order; raises NotInClass when p is
-    outside the class.
+    Reads them off the slice of e1: there q = z = x0 + e1 x1 commutes with e1,
+    and 2 x0 = z + conj z, 2 x1 = (z - conj z)(-e1) turn the terms with
+    a2 = a3 = 0 into sum_{k,m} conj(z)^k z^m a_m of f_k.  One slice fixes a
+    function of the class (the identity principle), so p is in the order-n
+    class exactly when its components below n expand back to it.  Returns the
+    minimal order; raises NotInClass when p is outside the class.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    comps: list[SliceRegularSeries] = [SliceRegularSeries()] * n
-    work, top = p, p.degree
-    for k in range(n - 1, -1, -1):
-        if work is p and n - 1 > k > top:
-            continue  # V lowers degrees, so this level reruns the top level's chain to 0
-        try:
-            g = qpoly.global_v_power(work, k)
-        except NotDivisible as exc:
-            raise NotInClass(
-                f"normalized global operator does not extend at level {k}"
-            ) from exc
-        f_k = series_from_expansion(g)
-        if not f_k.is_zero():
-            f_k = comps[k] = f_k.scale(Fraction(1, (2**k) * math.factorial(k)))
-            work = work - qpoly.expand_qbar_power(k) * f_k.expand()
-    if not work.is_zero():
-        raise NotInClass("nonzero residual after peeling all components")
-    return SlicePolyFn(comps).trim()
+    if n > 1:
+        qpoly._refuse_degree(p.degree + 1)  # as the first G of V^(n-1) would
+    top = max(p.degree, 0)
+    # z and conj z are the formal variables x0 and x1; 2 x0 and 2 x1 have integer coefficients
+    sums = list(accumulate([qpoly.X0 + qpoly.X1] * top, mul, initial=QPoly.one()))
+    diffs = list(accumulate([(qpoly.X0 - qpoly.X1) * -E1] * top, mul, initial=QPoly.one()))
+    read = qpoly.qsum(sums[a] * diffs[b] * c for (a, b, a2, a3), c in p.terms() if a2 == a3 == 0)
+    grid = [[ZERO] * (top + 1) for _ in range(top + 1)]  # grid[k][m] is a_m of f_k
+    for (m, k, _, _), c in read.terms():
+        grid[k][m] = c * Fraction(1, 2 ** (k + m))
+    fn = SlicePolyFn([SliceRegularSeries(row) for row in grid[:n]])
+    if fn.expand() == p:
+        return fn.trim()
+    # V is linear and keeps the class, so only V^(n-1) of p itself can fail to extend
+    try:
+        qpoly.global_v_power(p, n - 1)
+    except NotDivisible as exc:
+        raise NotInClass(f"normalized global operator does not extend at level {n - 1}") from exc
+    raise NotInClass("polynomial is not the expansion of a slice regular series")
 
 
 # -- slice restriction and splitting -------------------------------------------

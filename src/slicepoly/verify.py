@@ -370,7 +370,7 @@ def suite_kernels(seed: int, count: int, tol: float, nodes: int) -> SuiteReport:
                 lambda p: oracle.fd_global_v(lambda t: kernels.f_j(w, t, 1), p, h), q, h
             )
 
-        return abs(oracle.richardson(stencil, 1e-2) + kernels.delta_s_inv(w, q))
+        return abs(oracle.richardson(stencil, oracle.NESTED_H) + kernels.delta_s_inv(w, q))
 
     def right_regular(r):
         u = _rand_unit(r)
@@ -488,6 +488,9 @@ def suite_quadrature(seed: int, count: int, tol: float, nodes: int) -> SuiteRepo
     return rep
 
 
+#: largest instance count per check; `verify all` costs about 80 ms per unit of count
+MAX_COUNT = 1000
+
 SUITES: dict[str, Callable[[int, int, float, int], SuiteReport]] = {
     "leibniz": suite_leibniz,
     "appell": suite_appell,
@@ -501,8 +504,8 @@ SUITES: dict[str, Callable[[int, int, float, int], SuiteReport]] = {
 
 def run_suites(names: list[str], seed: int = 42, count: int = 12, tol: float = 1e-9,
                nodes: int = 512) -> list[SuiteReport]:
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+    if not 0 <= count <= MAX_COUNT:
+        raise ValueError(f"count must be an integer in [0, {MAX_COUNT}], got {count}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     if "all" in names:

@@ -2,9 +2,11 @@
 
 The oracles here deliberately avoid the package's arithmetic paths: naive_mul
 works off the literal basis multiplication table, naive_poly_eval walks a raw
-term dictionary, and pointwise_integral sums quaternion sandwiches node by
-node instead of using the slice-complex driver, so the tests cross two
-independent implementations wherever a derived value is asserted.  The seeded
+term dictionary, pointwise_integral sums quaternion sandwiches node by node
+instead of using the slice-complex driver, and v_peel_decompose peels the
+components with the operator V instead of reading them off one slice, so the
+tests cross two independent implementations wherever a derived value is
+asserted.  The seeded
 generators are the verify suites' own corpus, re-exported under public names:
 they only draw inputs, and one corpus means the tests and the suites draw the
 same instances.
@@ -16,9 +18,11 @@ import math
 import random
 from fractions import Fraction
 
-from slicepoly import kernels
+from slicepoly import kernels, qpoly
+from slicepoly.errors import NotDivisible, NotInClass
+from slicepoly.qpoly import QPoly
 from slicepoly.quat import Quaternion, quatf
-from slicepoly.slicefn import right_cr_derivative, slice_cr_derivative
+from slicepoly.slicefn import SlicePolyFn, SliceRegularSeries, right_cr_derivative, slice_cr_derivative
 from slicepoly.verify import (  # noqa: F401  (re-exported for the tests)
     _rand_circle_node as rand_circle_node,
     _rand_point as rand_point,
@@ -58,6 +62,41 @@ def naive_poly_eval(terms: dict, point: Quaternion) -> Quaternion:
         m = point.w**a0 * point.x**a1 * point.y**a2 * point.z**a3
         acc = acc + coef * m
     return acc
+
+
+def v_peel_decompose(p: QPoly, n: int) -> SlicePolyFn:
+    """Recover the unique components of an order-n slice polyanalytic expansion.
+
+    Peels from the top: V^k applied to the residual isolates
+    2^k k! (f_k expansion), which is read back into a series and scaled by
+    1/(2^k k!).  Returns the minimal order; raises NotInClass when p is
+    outside the class.  A series is read off the pure x0^m monomials, because
+    q^m is the only power contributing that monomial (with unit coefficient).
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    comps: list[SliceRegularSeries] = [SliceRegularSeries()] * n
+    work, top = p, p.degree
+    for k in range(n - 1, -1, -1):
+        if work is p and n - 1 > k > top:
+            continue  # V lowers degrees, so this level reruns the top level's chain to 0
+        try:
+            g = qpoly.global_v_power(work, k)
+        except NotDivisible as exc:
+            raise NotInClass(
+                f"normalized global operator does not extend at level {k}"
+            ) from exc
+        f_k = SliceRegularSeries()
+        if not g.is_zero():
+            f_k = SliceRegularSeries([g.coeff((m, 0, 0, 0)) for m in range(int(g.degree) + 1)])
+            if f_k.expand() != g:
+                raise NotInClass("polynomial is not the expansion of a slice regular series")
+        if not f_k.is_zero():
+            f_k = comps[k] = f_k.scale(Fraction(1, (2**k) * math.factorial(k)))
+            work = work - qpoly.expand_qbar_power(k) * f_k.expand()
+    if not work.is_zero():
+        raise NotInClass("nonzero residual after peeling all components")
+    return SlicePolyFn(comps).trim()
 
 
 def rand_nonzero_quat(rng: random.Random, cmax: int = 3) -> Quaternion:

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slicepoly import kernels, qpoly
+from slicepoly import kernels, qpoly, verify
 from slicepoly.cli import main
 from slicepoly.qpoly import DEGREE_CAP, QPoly
 from slicepoly.quat import quatf
@@ -119,6 +119,12 @@ class TestVerify:
 
     def test_negative_count_exits_one(self, capsys):
         assert run_cli(capsys, "verify", "appell", "--count", "-5") == (1, "")
+
+    def test_count_above_the_bound_runs_no_suite(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setitem(verify.SUITES, "appell", lambda *args: calls.append(args))
+        assert run_cli(capsys, "verify", "appell", "--count", "1001") == (1, "")
+        assert calls == []
 
     def test_non_finite_or_negative_tolerance_exits_one(self, capsys):
         for tol in ("nan", "inf", "-inf", "-1"):

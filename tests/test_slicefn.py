@@ -1,7 +1,11 @@
+import math
 import random
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from slicepoly import qpoly
 from slicepoly.errors import DegreeCapExceeded, NotInClass, NotOrthogonal
@@ -25,7 +29,15 @@ from slicepoly.slicefn import (
     _horner,
 )
 
-from helpers import rand_point, rand_quat, rand_rightfn, rand_series, rand_slicefn, rand_unit
+from helpers import (
+    rand_point,
+    rand_quat,
+    rand_rightfn,
+    rand_series,
+    rand_slicefn,
+    rand_unit,
+    v_peel_decompose,
+)
 
 S = SliceRegularSeries
 
@@ -139,6 +151,69 @@ class TestDecompose:
         p = expand_qbar_power(3)
         with pytest.raises(NotInClass):
             decompose(p, 2)
+
+
+def _binomial_power(n: int, sign: int) -> QPoly:
+    """q^n (sign 1) or conj(q)^n (sign -1) as sum_j C(n, j) x0^(n-j) (sign vec)^j, x0 being
+    central; at n = 64 this takes a fraction of a second, squaring q^32 about 12 s."""
+    powers = accumulate([qpoly.VEC_POLY * sign] * n, mul, initial=QPoly.one())
+    return qpoly.qsum(qpoly.X0 ** (n - j) * v * math.comb(n, j) for j, v in enumerate(powers))
+
+
+_scalars = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+_quats = st.builds(Quaternion, _scalars, _scalars, _scalars, _scalars)
+_fns = st.lists(st.lists(_quats, max_size=4).map(S), min_size=1, max_size=4).map(SlicePolyFn)
+_raw = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), _quats, max_size=5).map(QPoly)
+
+# (p, n): in-class expansions, orders set too low, perturbed expansions, raw
+# polynomials, Fraction-scaled expansions, and declared orders far above the degree
+_decompose_cases = st.one_of(
+    _fns.flatmap(lambda f: st.tuples(st.just(f.expand()), st.integers(f.order, f.order + 2))),
+    _fns.filter(lambda f: f.order > 1).flatmap(
+        lambda f: st.tuples(st.just(f.expand()), st.integers(1, f.order - 1))),
+    st.builds(lambda f, r: (f.expand() + r, f.order), _fns, _raw),
+    st.tuples(_raw, st.integers(1, 5)),
+    st.builds(lambda f, s: (f.expand() * s, f.order), _fns, st.fractions(-3, 3, max_denominator=5)),
+    st.builds(lambda f, d: (f.expand(), f.order + d), _fns, st.integers(10, 200)),
+)
+
+
+def _outcome(route, p, n):
+    try:
+        return route(p, n).to_json()
+    except (NotInClass, DegreeCapExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestDecomposeOracle:
+    """The slice read against the V peel of tests/helpers.py."""
+
+    def test_binomial_power_builder(self):
+        assert _binomial_power(9, 1) == expand_q_power(9)
+        assert _binomial_power(9, -1) == expand_qbar_power(9)
+
+    # q^64 at n = 1 is left out: both routes expand q^64, about 12 s
+    @given(_decompose_cases)
+    @example((QPoly.zero(), 5))
+    @example((QPoly.variable(1), 4))
+    @example((expand_qbar_power(3), 2))
+    @example((_binomial_power(qpoly.DEGREE_CAP, 1), 2))
+    @example((QPoly.constant(E2), 1000))
+    @example((_binomial_power(qpoly.DEGREE_CAP, -1), qpoly.DEGREE_CAP + 1))
+    def test_same_outcome_as_the_v_peel(self, case):
+        p, n = case
+        assert _outcome(decompose, p, n) == _outcome(v_peel_decompose, p, n)
+
+    def test_v_runs_only_to_name_a_failure(self, monkeypatch):
+        calls = []
+        v = qpoly.global_v
+        monkeypatch.setattr(qpoly, "global_v", lambda p: calls.append(1) or v(p))
+        p = qpoly.qsum(expand_qbar_power(k) for k in range(24))
+        assert decompose(p, 24) == SlicePolyFn([S([ONE])] * 24)
+        assert calls == []
+        with pytest.raises(NotInClass, match="not the expansion"):
+            decompose(p, 23)
+        assert 0 < len(calls) <= 22
 
 
 class TestVLowersOrder:
