@@ -4,12 +4,11 @@ The oracles here deliberately avoid the package's arithmetic paths: naive_mul
 works off the literal basis multiplication table, naive_poly_eval walks a raw
 term dictionary, pointwise_integral sums quaternion sandwiches node by node
 instead of using the slice-complex driver, and v_peel_decompose peels the
-components with the operator V instead of reading them off one slice, so the
-tests cross two independent implementations wherever a derived value is
-asserted.  The seeded
-generators are the verify suites' own corpus, re-exported under public names:
-they only draw inputs, and one corpus means the tests and the suites draw the
-same instances.
+components off with the operator V instead of reading them off one slice, so
+the tests cross two independent implementations wherever a derived value is
+asserted.  The seeded generators are the verify suites' own corpus,
+re-exported under public names: they only draw inputs, and one corpus means
+the tests and the suites draw the same instances.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ def naive_poly_eval(terms: dict, point: Quaternion) -> Quaternion:
 
 
 def v_peel_decompose(p: QPoly, n: int) -> SlicePolyFn:
-    """Recover the unique components of an order-n slice polyanalytic expansion.
+    """slicefn.decompose by the V peel, the oracle for its slice read.
 
     Peels from the top: V^k applied to the residual isolates
     2^k k! (f_k expansion), which is read back into a series and scaled by

@@ -5,7 +5,7 @@ from itertools import accumulate
 from operator import mul
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slicepoly import qpoly
 from slicepoly.errors import DegreeCapExceeded, NotInClass, NotOrthogonal
@@ -155,7 +155,7 @@ class TestDecompose:
 
 def _binomial_power(n: int, sign: int) -> QPoly:
     """q^n (sign 1) or conj(q)^n (sign -1) as sum_j C(n, j) x0^(n-j) (sign vec)^j, x0 being
-    central; at n = 64 this takes a fraction of a second, squaring q^32 about 12 s."""
+    central: far cheaper at n = 64 than expand_q_power, which multiplies two 3,417-term q^32."""
     powers = accumulate([qpoly.VEC_POLY * sign] * n, mul, initial=QPoly.one())
     return qpoly.qsum(qpoly.X0 ** (n - j) * v * math.comb(n, j) for j, v in enumerate(powers))
 
@@ -192,7 +192,9 @@ class TestDecomposeOracle:
         assert _binomial_power(9, 1) == expand_q_power(9)
         assert _binomial_power(9, -1) == expand_qbar_power(9)
 
-    # q^64 at n = 1 is left out: both routes expand q^64, about 12 s
+    # q^64 at n = 1 is left out: both routes call expand_q_power(64), which multiplies
+    # two 3,417-term polynomials
+    @settings(deadline=None)
     @given(_decompose_cases)
     @example((QPoly.zero(), 5))
     @example((QPoly.variable(1), 4))
