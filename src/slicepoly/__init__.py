@@ -8,7 +8,6 @@ finite-difference oracle for everything the exact backend cannot reach.
 
 from .errors import (
     DegreeCapExceeded,
-    NoExactSqrt,
     NotDivisible,
     NotFueterRegular,
     NotInClass,
@@ -24,7 +23,6 @@ from .quat import (
     E2,
     E3,
     ONE,
-    QSphere,
     Quaternion,
     SliceCoords,
     U1,
@@ -34,7 +32,6 @@ from .quat import (
     ZERO,
     quatf,
     slice_decompose,
-    sphere_of,
 )
 from .qpoly import (
     QPoly,

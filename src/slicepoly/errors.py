@@ -13,10 +13,6 @@ class SlicePolyError(Exception):
     """Base class for domain and class-membership errors."""
 
 
-class NoExactSqrt(SlicePolyError):
-    """A required square root is irrational, so the exact backend cannot hold it."""
-
-
 class DegreeCapExceeded(SlicePolyError):
     """A polynomial operation would exceed the configured total-degree cap."""
 

@@ -39,8 +39,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from math import fsum
+from itertools import accumulate, chain
+from math import comb, fsum
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeCapExceeded, NotDivisible, NotFueterRegular
@@ -343,20 +344,25 @@ VEC_NORM_SQ_POLY = QPoly({(0, 2, 0, 0): Quaternion(1, 0, 0, 0),
                           (0, 0, 0, 2): Quaternion(1, 0, 0, 0)})
 
 
+def _binomial_power(vec: QPoly, n: int) -> QPoly:
+    """(x0 + vec)^n by the binomial theorem (x0 is central); vec^2 is real, so vec^j stays small."""
+    if n < 0:
+        raise ValueError("power must be nonnegative")
+    _refuse_degree(n)
+    vec_powers = accumulate([vec] * n, mul, initial=QPoly.one())
+    return qsum(X0 ** (n - j) * v * comb(n, j) for j, v in enumerate(vec_powers))
+
+
 @lru_cache(maxsize=None)
 def expand_q_power(n: int) -> QPoly:
     """The function q -> q^n as a polynomial in x0..x3."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    return Q_POLY**n
+    return _binomial_power(VEC_POLY, n)
 
 
 @lru_cache(maxsize=None)
 def expand_qbar_power(k: int) -> QPoly:
     """The function q -> conj(q)^k as a polynomial in x0..x3."""
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    return QBAR_POLY**k
+    return _binomial_power(-VEC_POLY, k)
 
 
 # -- differential operators ----------------------------------------------------------

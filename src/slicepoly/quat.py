@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoExactSqrt
-
 Scalar = Fraction | float
 
 #: default absolute tolerance for float comparisons of O(1) quantities
@@ -27,18 +25,6 @@ DEFAULT_TOL = 1e-12
 _UNIT_ULPS = 8 * sys.float_info.epsilon
 
 _MIXED = "mixed scalar backends; convert explicitly with to_float()"
-
-
-def exact_sqrt(value: Fraction | int) -> Fraction:
-    """Square root of a nonnegative rational, or NoExactSqrt if irrational."""
-    if value < 0:
-        raise ValueError("square root of a negative rational")
-    value = Fraction(value)
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise NoExactSqrt(f"{value} has no rational square root")
-    return Fraction(rn, rd)
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,59 +272,20 @@ U3 = UnitImaginary(E3)
 class SliceCoords:
     """Coordinates q = x + I*y with y >= 0 on the complex slice spanned by I."""
 
-    x: Scalar
-    y: Scalar
+    x: float
+    y: float
     I: UnitImaginary
-
-    def recompose(self) -> Quaternion:
-        return Quaternion(self.x, 0, 0, 0) + self.I.u * self.y
 
 
 def slice_decompose(q: Quaternion) -> SliceCoords:
-    """Write q = x + I*y with y >= 0; real q gets the e1 convention.
+    """Write q = x + I*y with y >= 0 in binary64; real q gets the e1 convention.
 
-    On the exact backend the vector norm must have a rational square root
-    (real axis, single-axis values, Pythagorean vector parts); otherwise
-    NoExactSqrt is raised and the caller should convert to float first.
+    Exact input is converted with ``to_float`` first, so an irrational vector
+    norm needs no special case.
     """
-    if q.is_exact:
-        v2 = q.vec_norm_sq()
-        if v2 == 0:
-            return SliceCoords(q.w, Fraction(0), U1)
-        y = exact_sqrt(v2)
-        inv_y = Fraction(1) / y
-        return SliceCoords(q.w, y, UnitImaginary(q.vec() * inv_y))
+    q = q.to_float()
     # scaled norm: subnormal and huge y stay in range
     y = math.hypot(q.x, q.y, q.z)
     if y == 0.0:
         return SliceCoords(q.w, 0.0, UnitImaginary(E1.to_float()))
     return SliceCoords(q.w, y, UnitImaginary.from_vector(q.x, q.y, q.z))
-
-
-@dataclass(frozen=True, slots=True)
-class QSphere:
-    """The 2-sphere of quaternions sharing a real part and a vector modulus.
-
-    The radius is stored squared so the exact backend never needs a square
-    root; ``rad`` exposes the float radius.
-    """
-
-    re: Scalar
-    rad_sq: Scalar
-
-    @property
-    def rad(self) -> float:
-        return math.sqrt(float(self.rad_sq))
-
-    def contains(self, q: Quaternion, tol: float = DEFAULT_TOL) -> bool:
-        if not isinstance(self.re, float) and q.is_exact:
-            return q.w == self.re and q.vec_norm_sq() == self.rad_sq
-        qf = q.to_float()
-        return (
-            abs(qf.w - float(self.re)) <= tol
-            and abs(math.sqrt(qf.vec_norm_sq()) - self.rad) <= tol
-        )
-
-
-def sphere_of(s: Quaternion) -> QSphere:
-    return QSphere(s.w, s.vec_norm_sq())

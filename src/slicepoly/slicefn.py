@@ -205,11 +205,6 @@ def _parse_fn_json(data) -> tuple[int, list[SliceRegularSeries]]:
     return order, comps
 
 
-def series_from_expansion(p: QPoly) -> SliceRegularSeries:
-    """Recover sum_m q^m a_m from its expansion; NotInClass if p is not slice regular."""
-    return decompose(p, 1).components[0]
-
-
 def decompose(p: QPoly, n: int) -> SlicePolyFn:
     """Recover the unique components of an order-n slice polyanalytic expansion.
 
@@ -280,12 +275,6 @@ def embed_complex(c: complex, i: UnitImaginary) -> Quaternion:
     return quatf(c.real) + u * c.imag
 
 
-def project_complex(q: Quaternion, i: UnitImaginary) -> complex:
-    """Inverse of embed_complex for points on the slice of i."""
-    qf = q.to_float()
-    return complex(qf.w, _dot4(qf, i.to_float().u))
-
-
 def _finite(value, what: str) -> float:
     """float(value), or ValueError when it lies beyond the float range."""
     if not abs(value) <= sys.float_info.max:
@@ -298,8 +287,8 @@ class SliceRestriction:
     """Restriction f_I = F + G J of a left or right slice polyanalytic function.
 
     ``pairs[k]`` holds the split (c1, c2) of each coefficient of f_k, highest
-    power first, as complex numbers via 1 -> 1, I -> i; F and G are complex
-    polyanalytic in (z, conj z), and calling the restriction evaluates f.
+    power first, as complex numbers via 1 -> 1, I -> i; ``cr_values((0,))`` gives
+    the complex polyanalytic pair (F, G), and calling the restriction evaluates f.
     """
 
     I: UnitImaginary
@@ -336,12 +325,6 @@ class SliceRestriction:
             return out
 
         return values
-
-    def F(self, z: complex) -> complex:
-        return self.cr_values((0,))(z)[0][0]
-
-    def G(self, z: complex) -> complex:
-        return self.cr_values((0,))(z)[0][1]
 
     def __call__(self, z: complex) -> Quaternion:
         (fv, gv), = self.cr_values((0,))(z)
@@ -406,7 +389,7 @@ def slice_extend(
     (phi(z) + phi(conj z))/2 + (I_q j / 2)(phi(conj z) - phi(z)).
     Real q reproduces phi(x) independently of the unit convention.
     """
-    coords = slice_decompose(q.to_float())
+    coords = slice_decompose(q)
     ju = j.to_float().u
     z = quatf(coords.x) + ju * coords.y
     a = phi(z)

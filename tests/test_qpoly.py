@@ -75,13 +75,18 @@ class TestExpansions:
             assert expand_q_power(n) == acc
             acc = naive_qpoly_mul(acc, p)
 
-    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("n", [*range(6), DEGREE_CAP])
     def test_evaluation_agrees_pointwise(self, n):
         rng = random.Random(100 + n)
         for _ in range(5):
             q = rand_quat(rng)
             assert expand_q_power(n).evaluate(q) == q**n
             assert expand_qbar_power(n).evaluate(q) == q.conjugate() ** n
+
+    def test_negative_power_refused(self):
+        for power in (expand_q_power, expand_qbar_power):
+            with pytest.raises(ValueError):
+                power(-1)
 
 
 class TestPartial:
@@ -417,6 +422,9 @@ class TestDegreeCap:
         monkeypatch.setattr(QPoly, "__mul__", lambda p, r: calls.append(1) or mul(p, r))
         with pytest.raises(DegreeCapExceeded):
             qpoly.Q_POLY ** (DEGREE_CAP + 1)
+        for power in (expand_q_power, expand_qbar_power):
+            with pytest.raises(DegreeCapExceeded):
+                power(DEGREE_CAP + 1)
         with pytest.raises(DegreeCapExceeded):
             cube ** 22
         assert calls == []

@@ -42,17 +42,8 @@ class TestCirclePath:
             assert math.isclose(abs(w), 2.0, rel_tol=1e-12)
             assert math.isclose(abs(dw), 2.0 * 2.0 * math.pi / 16, rel_tol=1e-12)
 
-    def test_json_roundtrip(self):
-        path = CirclePath(UnitImaginary.from_vector(0, 1, 1), 0.5, 128)
-        data = path.to_json()
-        assert data["radius"] == 0.5 and data["nodes"] == 128
-        again = CirclePath.from_json(data)
-        # parsing normalizes the unit vector, so allow one ulp of drift
-        assert again.rho == path.rho and again.n == path.n
-        assert again.unit.u.approx_eq(path.unit.u, 1e-15)
-
-    def test_json_accepts_unnormalized_unit(self):
-        path = CirclePath.from_json({"unit": [0, 3, 4], "radius": 1.0, "nodes": 64})
+    def test_accepts_unnormalized_unit(self):
+        path = CirclePath(UnitImaginary.from_vector(0, 3, 4), 1.0, 64)
         assert path.unit.u.approx_eq(quatf(0.0, 0.0, 0.6, 0.8))
 
     def test_validation(self):
