@@ -24,14 +24,11 @@ from .quat import (
     E3,
     ONE,
     Quaternion,
-    SliceCoords,
     U1,
     U2,
-    U3,
     UnitImaginary,
     ZERO,
     quatf,
-    slice_decompose,
 )
 from .qpoly import (
     QPoly,
@@ -60,7 +57,6 @@ from .slicefn import (
     restrict,
     right_cr_derivative,
     slice_cr_derivative,
-    slice_extend,
 )
 from .kernels import delta_s_inv, f_j, s_inv
 from .quad import (

@@ -95,7 +95,7 @@ def _cmd_apply(args) -> int:
             if order is None:
                 raise ValueError("c_n on a raw polynomial spec needs --order")
             obj = decompose(obj, order)
-        result = qpoly.c_n(obj.component_expansions())
+        result = obj.poly_fueter_image()
 
     _emit(result.to_json(), args.format, [str(result)])
     return 0
@@ -160,7 +160,7 @@ def _cmd_integrate(args) -> int:
             reference = f.evaluate(q)
         else:
             value = quad.fueter_integral(f, q, path)
-            reference = qpoly.tau_n(_exact(f).expand(), f.order).evaluate(q)
+            reference = _exact(f).fueter_image().evaluate(q)
 
     deviation = abs(value - reference)
     payload = {

@@ -265,27 +265,3 @@ class UnitImaginary:
 
 U1 = UnitImaginary(E1)
 U2 = UnitImaginary(E2)
-U3 = UnitImaginary(E3)
-
-
-@dataclass(frozen=True, slots=True)
-class SliceCoords:
-    """Coordinates q = x + I*y with y >= 0 on the complex slice spanned by I."""
-
-    x: float
-    y: float
-    I: UnitImaginary
-
-
-def slice_decompose(q: Quaternion) -> SliceCoords:
-    """Write q = x + I*y with y >= 0 in binary64; real q gets the e1 convention.
-
-    Exact input is converted with ``to_float`` first, so an irrational vector
-    norm needs no special case.
-    """
-    q = q.to_float()
-    # scaled norm: subnormal and huge y stay in range
-    y = math.hypot(q.x, q.y, q.z)
-    if y == 0.0:
-        return SliceCoords(q.w, 0.0, UnitImaginary(E1.to_float()))
-    return SliceCoords(q.w, y, UnitImaginary.from_vector(q.x, q.y, q.z))

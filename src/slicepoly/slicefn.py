@@ -6,8 +6,8 @@ ordered list ``(f_0, ..., f_{n-1})`` of such series representing
 ``f(q) = sum_k conj(q)^k f_k(q)``; the decomposition is unique, and this
 module recovers it from a raw polynomial expansion, restricts functions to a
 complex slice, splits restrictions over an orthogonal pair of units, takes
-slice Cauchy-Riemann derivatives in closed form, extends slice data by the
-representation formula, and exposes the Appell ladder of conjugate powers.
+slice Cauchy-Riemann derivatives in closed form, and exposes the Appell ladder
+of conjugate powers.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from . import qpoly
 from .errors import NotDivisible, NotInClass, NotOrthogonal
 from .qpoly import QPoly
-from .quat import E1, Quaternion, UnitImaginary, ZERO, quatf, slice_decompose
+from .quat import E1, Quaternion, UnitImaginary, ZERO, quatf
 
 
 def _horner(coeffs: Sequence[Quaternion], q: Quaternion, right_coeffs: bool) -> Quaternion:
@@ -163,16 +163,13 @@ class SlicePolyFn:
         return qpoly.qsum(qpoly.expand_qbar_power(k) * comp.expand()
                           for k, comp in enumerate(self._components) if not comp.is_zero())
 
-    def component_expansions(self) -> list[QPoly]:
-        return [c.expand() for c in self._components]
-
     def fueter_image(self) -> QPoly:
         """laplacian o V^(order-1) of the expansion: a Fueter regular polynomial."""
         return qpoly.tau_n(self.expand(), self.order)
 
     def poly_fueter_image(self) -> QPoly:
         """sum_k x0^k laplacian(f_k): poly-Fueter regular of the same order."""
-        return qpoly.c_n(self.component_expansions())
+        return qpoly.c_n([c.expand() for c in self._components])
 
     def to_float(self) -> "SlicePolyFn":
         return SlicePolyFn([c.to_float() for c in self._components])
@@ -182,15 +179,14 @@ class SlicePolyFn:
 
     @classmethod
     def from_json(cls, data) -> "SlicePolyFn":
-        order, comps = _parse_fn_json(data)
-        return cls(comps)
+        return cls(_parse_fn_json(data))
 
 
 #: largest declared order a function spec may carry; padding costs O(order)
 MAX_ORDER = 4096
 
 
-def _parse_fn_json(data) -> tuple[int, list[SliceRegularSeries]]:
+def _parse_fn_json(data) -> list[SliceRegularSeries]:
     if not isinstance(data, dict) or "order" not in data or "components" not in data:
         raise ValueError('function JSON must be {"order": n, "components": [...]}')
     order = data["order"]
@@ -202,7 +198,7 @@ def _parse_fn_json(data) -> tuple[int, list[SliceRegularSeries]]:
     comps = [SliceRegularSeries.from_json(c) for c in raw]
     while len(comps) < order:
         comps.append(SliceRegularSeries())
-    return order, comps
+    return comps
 
 
 def decompose(p: QPoly, n: int) -> SlicePolyFn:
@@ -346,7 +342,7 @@ def restrict(f: SlicePolyFn | RightSlicePolyFn, i: UnitImaginary, j: UnitImagina
     return SliceRestriction(i.to_float(), j.to_float(), tuple(pairs), right_sided)
 
 
-# -- slice Cauchy-Riemann derivatives and the representation formula ------------
+# -- slice Cauchy-Riemann derivatives ---------------------------------------------
 
 
 def _cr_sum(comps: Sequence[Sequence[Quaternion]], j: int, z: Quaternion, left: bool) -> Quaternion:
@@ -377,24 +373,6 @@ def slice_cr_derivative(
         raise ValueError("derivative order must be nonnegative")
     comps = [c.coeffs for c in f.components]
     return lambda z: _cr_sum(comps, j, z, left=True)
-
-
-def slice_extend(
-    phi: Callable[[Quaternion], Quaternion], j: UnitImaginary, q: Quaternion
-) -> Quaternion:
-    """Representation-formula extension of slice data to an arbitrary point.
-
-    phi supplies values on the slice of ``j`` at z = x + jy and conj(z); the
-    extension at q = x + I_q y is
-    (phi(z) + phi(conj z))/2 + (I_q j / 2)(phi(conj z) - phi(z)).
-    Real q reproduces phi(x) independently of the unit convention.
-    """
-    coords = slice_decompose(q)
-    ju = j.to_float().u
-    z = quatf(coords.x) + ju * coords.y
-    a = phi(z)
-    b = phi(z.conjugate())
-    return (a + b) * 0.5 + (coords.I.u * ju) * ((b - a) * 0.5)
 
 
 # -- the Appell ladder ------------------------------------------------------------
@@ -452,8 +430,7 @@ class RightSlicePolyFn:
 
     @classmethod
     def from_json(cls, data) -> "RightSlicePolyFn":
-        order, comps = _parse_fn_json(data)
-        return cls([c.coeffs for c in comps])
+        return cls([c.coeffs for c in _parse_fn_json(data)])
 
 
 def right_cr_derivative(

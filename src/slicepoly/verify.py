@@ -440,7 +440,7 @@ def suite_quadrature(seed: int, count: int, tol: float, nodes: int) -> SuiteRepo
         f = _rand_slicefn(r, r.randint(1, 3), 4)
         q = _rand_point(r, 0.0, 0.6)
         path = quad.CirclePath(_rand_unit(r), 1.0, nodes)
-        ref = qpoly.tau_n(f.expand(), f.order).evaluate(q)
+        ref = f.fueter_image().evaluate(q)
         return _rel_gap(quad.fueter_integral(f, q, path), ref)
 
     def formulations_agree(r):

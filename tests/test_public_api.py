@@ -1,0 +1,103 @@
+"""The package's public surface: no caller-less names, and the README example runs.
+
+The census parses ``src/slicepoly/*.py`` (not ``__init__.py``, which re-exports
+everything) and collects the public top-level functions and classes, the public
+methods of public classes and the UPPERCASE module constants.  A name counts as
+called when its identifier appears as a ``Name`` load, an ``Attribute`` or an
+import alias in one of those modules, or in ``perfbench/*.py``, where a word
+inside a string constant counts as well, because the tracer names the functions
+it wraps in strings.  Docstrings never count.  The uncalled names must equal
+``ALLOWED``, so a stale entry fails the census as surely as a new dead name.
+
+Methods match by bare name, so a dead method that shares its name with a live
+one goes unseen; the census never flags a live name.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "slicepoly"
+
+#: public names with no caller in the package or the benchmark, each with its reason
+ALLOWED = {
+    "Quaternion.approx_eq": "the tests' float comparison",
+    "QPoly.coeff": "read by tests/helpers.v_peel_decompose, the oracle of decompose",
+    "Q_POLY": "the square-and-multiply reference for expand_q_power",
+    "U1": "used by the tests; the README example imports it",
+    "U2": "used by the tests",
+}
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _defined(tree: ast.Module) -> dict[str, str]:
+    """Reported name -> the identifier a caller would use."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
+            names[node.name] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and _public(item.name):
+                        names[f"{node.name}.{item.name}"] = item.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and _public(t.id) and t.id.isupper():
+                    names[t.id] = t.id
+    return names
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    return {id(s.body[0].value) for s in scopes
+            if s.body and isinstance(s.body[0], ast.Expr)
+            and isinstance(s.body[0].value, ast.Constant) and isinstance(s.body[0].value.value, str)}
+
+
+def _used(tree: ast.Module, strings: bool) -> set[str]:
+    used = set()
+    docs = _docstrings(tree) if strings else set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
+            used.update(_WORD.findall(node.value))
+    return used
+
+
+def uncalled_names() -> set[str]:
+    defined, used = {}, set()
+    for path in sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        defined.update(_defined(tree))
+        used |= _used(tree, strings=False)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used |= _used(ast.parse(path.read_text(), str(path)), strings=True)
+    return {name for name, ident in defined.items() if ident not in used}
+
+
+def test_every_public_name_has_a_caller():
+    uncalled = uncalled_names()
+    assert uncalled == set(ALLOWED), (
+        f"caller-less: {sorted(uncalled - set(ALLOWED))}; "
+        f"stale allowlist entries: {sorted(set(ALLOWED) - uncalled)}")
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from slicepoly.quat import (
     E1,
@@ -13,7 +13,6 @@ from slicepoly.quat import (
     Quaternion,
     UnitImaginary,
     quatf,
-    slice_decompose,
 )
 
 from helpers import naive_mul
@@ -139,47 +138,6 @@ class TestUnitImaginary:
             return
         u = UnitImaginary.from_vector(x, y, z)
         assert abs(u.u.vec_norm_sq() - 1.0) < 8e-16
-
-
-def _rebuild(c) -> Quaternion:
-    return quatf(c.x) + c.I.u * c.y
-
-
-class TestSliceDecompose:
-    def test_already_sliced(self):
-        c = slice_decompose(Quaternion(1, 2, 0, 0))
-        assert (c.x, c.y) == (1, 2) and c.I.u == E1
-
-    def test_real_axis_convention(self):
-        c = slice_decompose(Quaternion(3, 0, 0, 0))
-        assert (c.x, c.y) == (3, 0) and c.I.u == E1
-
-    def test_normalizes_vector_part(self):
-        q = quatf(0.0, 0.0, 1.0, -1.0)
-        c = slice_decompose(q)
-        assert math.isclose(c.y, math.sqrt(2.0))
-        assert c.I.u.approx_eq(quatf(0, 0, 1 / math.sqrt(2), -1 / math.sqrt(2)))
-        assert _rebuild(c).approx_eq(q)
-
-    def test_exact_input_decomposes_in_binary64(self):
-        assert slice_decompose(Quaternion(0, 0, 1, -1)).y == math.sqrt(2.0)
-        c = slice_decompose(Quaternion(7, 3, 4, 0))
-        assert c.y == 5.0 and _rebuild(c) == Quaternion(7, 3, 4, 0)
-
-    @given(float_quats)
-    @example(quatf(0, 0, 0, 9.67e-161))  # squared vector norm underflows
-    @example(quatf(0.5, 0, 0, 1e155))  # squared vector norm overflows
-    @example(quatf(0, 0, 2.225073858507e-311, 2.225073858507e-311))  # subnormal vector norm
-    @example(quatf(0.5, 1e-320, 0, 1e-320))  # subnormal vector norm
-    def test_roundtrip_float(self, q):
-        c = slice_decompose(q)
-        assert c.y >= 0.0
-        assert _rebuild(c).approx_eq(q, 1e-9 * max(1.0, abs(q)))
-
-    @given(ints, ints)
-    def test_roundtrip_exact_single_axis(self, x, y):
-        q = Quaternion(x, 0, y, 0)
-        assert _rebuild(slice_decompose(q)) == q
 
 
 class TestSerialization:

@@ -21,7 +21,6 @@ from slicepoly.slicefn import (
     restrict,
     right_cr_derivative,
     slice_cr_derivative,
-    slice_extend,
     _horner,
 )
 
@@ -329,40 +328,6 @@ class TestSliceCRDerivative:
             fd = fd_slice_cr(lambda p: f.evaluate(p), i.u, z, 1e-5)
             closed = slice_cr_derivative(f, i, 1)(z)
             assert abs(fd - closed) < 1e-8
-
-
-class TestSliceExtend:
-    def test_extends_identity(self):
-        q = quatf(0.5, 0.2, 0.3, -0.1)
-        assert slice_extend(lambda z: z, U2, q).approx_eq(q)
-
-    def test_constant(self):
-        c = quatf(0.0, 1.0, 2.0, 3.0)
-        q = quatf(-0.3, 0.1, 0.0, 0.9)
-        assert slice_extend(lambda z: c, U1, q).approx_eq(c)
-
-    def test_conjugate(self):
-        q = quatf(0.5, 0.2, 0.3, -0.1)
-        assert slice_extend(lambda z: z.conjugate(), U1, q).approx_eq(q.conjugate())
-
-    def test_real_point_is_unit_independent(self):
-        q = quatf(0.7)
-        a = slice_extend(lambda z: z * z, U1, q)
-        b = slice_extend(lambda z: z * z, U2, q)
-        assert a.approx_eq(b)
-
-    def test_restrict_then_extend_reproduces(self):
-        rng = random.Random(31)
-        for _ in range(10):
-            f = rand_slicefn(rng, rng.randint(1, 3), 4)
-            i = rand_unit(rng)
-            r = restrict(f, i, canonical_perp(i))
-            u = i.u
-            phi = lambda zq: r(complex(zq.w, zq.x * u.x + zq.y * u.y + zq.z * u.z))
-            q = rand_point(rng, 0.1, 1.2)
-            got = slice_extend(phi, i, q)
-            ref = f.evaluate(q)
-            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestAppell:
