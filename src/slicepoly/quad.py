@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable
 
 from . import kernels
@@ -36,33 +35,28 @@ MIN_NODES = 4
 MAX_NODES = 2**20
 
 
-@dataclass(frozen=True)
 class CirclePath:
     """Quadrature contour: N nodes on the circle of radius rho in one slice.
 
     Node counts are conventionally powers of two (default 512) so doubling
     studies reuse even subgrids; any N in [MIN_NODES, MAX_NODES] is accepted.
+    ``_frame`` is the split_frame of (unit, canonical_perp(unit)), computed once
+    for every integral over this contour.
     """
 
-    unit: UnitImaginary
-    rho: float = 1.0
-    n: int = 512
-    _z: tuple = field(init=False, repr=False, compare=False)
-    _perp: UnitImaginary = field(init=False, repr=False, compare=False)
-    _frame: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("unit", "rho", "n", "_z", "_frame")
 
-    def __post_init__(self):
-        if not 0.0 < self.rho < math.inf:
+    def __init__(self, unit: UnitImaginary, rho: float = 1.0, n: int = 512):
+        if not 0.0 < rho < math.inf:
             raise ValueError("radius must be positive and finite")
-        if not MIN_NODES <= self.n <= MAX_NODES:
+        if not MIN_NODES <= n <= MAX_NODES:
             raise ValueError(f"node count must lie in [{MIN_NODES}, {MAX_NODES}]")
-        unit = self.unit.to_float()
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "_perp", canonical_perp(unit))
-        object.__setattr__(self, "_frame", split_frame(unit, self._perp))
-        dtheta, rho = 2.0 * math.pi / self.n, self.rho
-        object.__setattr__(self, "_z", tuple(  # the nodes w_m, as complex numbers of the slice
-            complex(rho * math.cos(dtheta * m), rho * math.sin(dtheta * m)) for m in range(self.n)))
+        self.unit = unit = unit.to_float()
+        self.rho, self.n = rho, n
+        self._frame = split_frame(unit, canonical_perp(unit))
+        dtheta = 2.0 * math.pi / n
+        self._z = tuple(  # the nodes w_m, as complex numbers of the slice
+            complex(rho * math.cos(dtheta * m), rho * math.sin(dtheta * m)) for m in range(n))
 
     def nodes(self) -> tuple:
         """Pairs (w_m, dw_m) of float quaternions in node order, built on each call."""
@@ -98,7 +92,10 @@ def _contour_sum(path: CirclePath, left: Callable, right: Callable, scale: float
             s1.append(a * u - b * v.conjugate())
             s2.append(a * v + b * u.conjugate())
     parts = (operator.attrgetter("real"), operator.attrgetter("imag"))
-    r1, i1, r2, i2 = (math.fsum(map(part, s)) for s in (s1, s2) for part in parts)
+    try:
+        r1, i1, r2, i2 = (math.fsum(map(part, s)) for s in (s1, s2) for part in parts)
+    except (OverflowError, ValueError):  # a partial sum overflows, or node terms are +-inf
+        raise ValueError("the integral is beyond the float range") from None
     iu, ju, ku = path._frame
     out = (quatf(r1) + iu * i1 + ju * r2 + ku * i2) * (scale * 2.0 * math.pi / path.n)
     _finite(sum(map(abs, (out.w, out.x, out.y, out.z))), "the integral")
@@ -130,7 +127,7 @@ def poly_cauchy_eval(f: SlicePolyFn, q: Quaternion, path: CirclePath) -> Quatern
     """
     q = _require_inside(q, path)
     # CR^j f = 0 from the trimmed order on
-    derivs = restrict(f, path.unit, path._perp).cr_values(range(f.trim().order))
+    derivs = restrict(f, path._frame, range(f.trim().order))
 
     def right(z: complex) -> tuple:
         t, e, p, r = -2.0 * (z.real - q.w), 1.0, 0j, 0j
@@ -149,7 +146,7 @@ def fueter_integral(f: SlicePolyFn, q: Quaternion, path: CirclePath) -> Quaterni
     """
     q = _require_inside(q, path)
     scale = _finite(2 ** (f.order - 1), "the order prefactor") / (2.0 * math.pi)
-    top = restrict(f, path.unit, path._perp).cr_values((f.order - 1,))
+    top = restrict(f, path._frame, (f.order - 1,))
     return _contour_sum(path, _kernel_left(q, path, -4.0, 2), top, scale)
 
 
@@ -175,12 +172,12 @@ def cauchy_theorem_residual(
     if f.order != g.order:
         raise OrderMismatch(f"orders differ: {f.order} vs {g.order}")
     n = f.order
-    rder = restrict(g, path.unit, path._perp).cr_values(range(n - 1, -1, -1))
+    rder = restrict(g, path._frame, range(n - 1, -1, -1))
 
     def left(z: complex) -> list:
         return [(a, b) if j % 2 == 0 else (-a, -b) for j, (a, b) in enumerate(rder(z))]
 
-    return _contour_sum(path, left, restrict(f, path.unit, path._perp).cr_values(range(n)), 1.0)
+    return _contour_sum(path, left, restrict(f, path._frame, range(n)), 1.0)
 
 
 def unit_independence_check(

@@ -5,7 +5,7 @@ quaternion coefficients.  A slice polyanalytic function of order n is an
 ordered list ``(f_0, ..., f_{n-1})`` of such series representing
 ``f(q) = sum_k conj(q)^k f_k(q)``; the decomposition is unique, and this
 module recovers it from a raw polynomial expansion, restricts functions to a
-complex slice, splits restrictions over an orthogonal pair of units, takes
+complex slice split over an orthogonal frame of units, takes
 slice Cauchy-Riemann derivatives in closed form, and exposes the Appell ladder
 of conjugate powers.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -265,12 +264,6 @@ def split_coeff(a: Quaternion, frame: tuple) -> tuple[complex, complex]:
     return complex(av.w, _dot4(av, iu)), complex(_dot4(av, ju), _dot4(av, ku))
 
 
-def embed_complex(c: complex, i: UnitImaginary) -> Quaternion:
-    """The point c.real + c.imag * i on the slice of i (float backend)."""
-    u = i.to_float().u
-    return quatf(c.real) + u * c.imag
-
-
 def _finite(value, what: str) -> float:
     """float(value), or ValueError when it lies beyond the float range."""
     if not abs(value) <= sys.float_info.max:
@@ -278,68 +271,42 @@ def _finite(value, what: str) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class SliceRestriction:
-    """Restriction f_I = F + G J of a left or right slice polyanalytic function.
+def restrict(f: SlicePolyFn | RightSlicePolyFn, frame: tuple, js) -> Callable[[complex], list]:
+    """values(z) -> [(P_j, Q_j) for j in js] with CR^j f = P_j + Q_j J at z on the slice of I.
 
-    ``pairs[k]`` holds the split (c1, c2) of each coefficient of f_k, highest
-    power first, as complex numbers via 1 -> 1, I -> i; ``cr_values((0,))`` gives
-    the complex polyanalytic pair (F, G), and calling the restriction evaluates f.
+    The one place that splits a left or right function's coefficients: over a
+    split_frame triple (I, J, IJ), a = c1 + c2 J with c1, c2 on the slice of I,
+    as complex numbers via 1 -> 1, I -> i.  CR^j f = sum_{k>=j} k!/(k-j)!
+    conj(z)^(k-j) (F_k(z) + G_k(z) J) by Horner sums; for a right function
+    J z^m = conj(z)^m J swaps z and conj(z) in G_k and in its power factor.
+    Weights beyond the float range raise ValueError.
     """
-
-    I: UnitImaginary
-    J: UnitImaginary
-    pairs: tuple = field(repr=False)
-    right_sided: bool = False
-
-    def cr_values(self, js) -> Callable[[complex], list]:
-        """values(z) -> [(P_j, Q_j) for j in js] with CR^j f = P_j + Q_j J at z.
-
-        CR^j f = sum_{k>=j} k!/(k-j)! conj(z)^(k-j) (F_k(z) + G_k(z) J) by Horner
-        sums; for a right function J z^m = conj(z)^m J swaps z and conj(z) in
-        G_k and in its power factor.  Weights beyond the float range raise ValueError.
-        """
-        pairs, right_sided = self.pairs, self.right_sided
-        plans = [[(k, _finite(math.perm(k, j), "a derivative weight k!/(k-j)!") if pairs[k] else 0.0)
-                  for k in range(len(pairs) - 1, j - 1, -1)] for j in js]
-
-        def values(z: complex) -> list:
-            zb = z.conjugate()
-            zq, zqb = (zb, z) if right_sided else (z, zb)
-            fk = []
-            for cs in pairs:
-                p = q = 0j
-                for c1, c2 in cs:
-                    p, q = p * z + c1, q * zq + c2
-                fk.append((p, q))
-            out = []
-            for plan in plans:
-                p = q = 0j
-                for k, weight in plan:
-                    p, q = p * zb + weight * fk[k][0], q * zqb + weight * fk[k][1]
-                out.append((p, q))
-            return out
-
-        return values
-
-    def __call__(self, z: complex) -> Quaternion:
-        (fv, gv), = self.cr_values((0,))(z)
-        return embed_complex(fv, self.I) + embed_complex(gv, self.I) * self.J.u
-
-
-def restrict(f: SlicePolyFn | RightSlicePolyFn, i: UnitImaginary, j: UnitImaginary) -> SliceRestriction:
-    """Split the restriction f_I of a SlicePolyFn or RightSlicePolyFn over the pair (i, j).
-
-    The one place that splits a function's coefficients, a = a1 + a2 j with a1,
-    a2 on the slice of i; NotOrthogonal unless i and j anticommute.
-    """
-    frame = split_frame(i, j)
     right_sided = isinstance(f, RightSlicePolyFn)
     comps = f.components if right_sided else [c.coeffs for c in f.components]
     pairs = [tuple(split_coeff(a, frame) for a in reversed(cs)) for cs in comps]
     while pairs and not pairs[-1]:
         pairs.pop()
-    return SliceRestriction(i.to_float(), j.to_float(), tuple(pairs), right_sided)
+    plans = [[(k, _finite(math.perm(k, j), "a derivative weight k!/(k-j)!") if pairs[k] else 0.0)
+              for k in range(len(pairs) - 1, j - 1, -1)] for j in js]
+
+    def values(z: complex) -> list:
+        zb = z.conjugate()
+        zq, zqb = (zb, z) if right_sided else (z, zb)
+        fk = []
+        for cs in pairs:
+            p = q = 0j
+            for c1, c2 in cs:
+                p, q = p * z + c1, q * zq + c2
+            fk.append((p, q))
+        out = []
+        for plan in plans:
+            p = q = 0j
+            for k, weight in plan:
+                p, q = p * zb + weight * fk[k][0], q * zqb + weight * fk[k][1]
+            out.append((p, q))
+        return out
+
+    return values
 
 
 # -- slice Cauchy-Riemann derivatives ---------------------------------------------
@@ -360,14 +327,12 @@ def _cr_sum(comps: Sequence[Sequence[Quaternion]], j: int, z: Quaternion, left: 
     return acc
 
 
-def slice_cr_derivative(
-    f: SlicePolyFn, i: UnitImaginary, j: int
-) -> Callable[[Quaternion], Quaternion]:
-    """The j-th slice CR derivative of f as a callable on the slice of ``i``.
+def slice_cr_derivative(f: SlicePolyFn, j: int) -> Callable[[Quaternion], Quaternion]:
+    """The j-th slice CR derivative of f as a callable on any slice.
 
-    Closed form: sum_{k >= j} k!/(k-j)! conj(z)^(k-j) f_k(z).  The value only
-    depends on z, which the caller must take on the slice of ``i``; j >= order
-    gives the zero function.
+    Closed form: sum_{k >= j} k!/(k-j)! conj(z)^(k-j) f_k(z), which depends on
+    z alone, so one callable serves every slice; j >= order gives the zero
+    function.
     """
     if j < 0:
         raise ValueError("derivative order must be nonnegative")
@@ -433,10 +398,8 @@ class RightSlicePolyFn:
         return cls([c.coeffs for c in _parse_fn_json(data)])
 
 
-def right_cr_derivative(
-    g: RightSlicePolyFn, i: UnitImaginary, j: int
-) -> Callable[[Quaternion], Quaternion]:
-    """j-th right slice CR derivative: sum_{k >= j} k!/(k-j)! g_k(z) conj(z)^(k-j)."""
+def right_cr_derivative(g: RightSlicePolyFn, j: int) -> Callable[[Quaternion], Quaternion]:
+    """j-th right slice CR derivative on any slice: sum_{k >= j} k!/(k-j)! g_k(z) conj(z)^(k-j)."""
     if j < 0:
         raise ValueError("derivative order must be nonnegative")
     return lambda z: _cr_sum(g.components, j, z, left=False)

@@ -448,7 +448,7 @@ def suite_quadrature(seed: int, count: int, tol: float, nodes: int) -> SuiteRepo
         f = _rand_slicefn(r, r.randint(1, 3), 4)
         q = _rand_point(r, 0.0, 0.6)
         path = quad.CirclePath(_rand_unit(r), 1.0, nodes)
-        top = slice_cr_derivative(f.to_float(), path.unit, f.order - 1)
+        top = slice_cr_derivative(f.to_float(), f.order - 1)
 
         def term(w, dw):
             dinv = (w * w - w * (2.0 * q.w) + quatf(q.norm_sq())).inverse()
@@ -471,7 +471,7 @@ def suite_quadrature(seed: int, count: int, tol: float, nodes: int) -> SuiteRepo
         q = quatf(0.2, 0.0, 0.3, 0.0)
         path = quad.CirclePath(UnitImaginary(Quaternion(0, 1, 0, 0)), 1.0, nodes)
         good = _rel_gap(quad.poly_cauchy_eval(f, q, path), f.evaluate(q))
-        deriv = slice_cr_derivative(f.to_float(), path.unit, 0)
+        deriv = slice_cr_derivative(f.to_float(), 0)
         swapped = _node_sum(path, 0.5 / math.pi, lambda w, dw: kernels.f_j(w, q, 0) * deriv(w) * dw)
         bad = _rel_gap(swapped, f.evaluate(q))
         return good if bad > 1e-3 else float("inf")

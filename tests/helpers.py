@@ -20,7 +20,7 @@ from fractions import Fraction
 from slicepoly import kernels, qpoly
 from slicepoly.errors import NotDivisible, NotInClass
 from slicepoly.qpoly import QPoly
-from slicepoly.quat import Quaternion, quatf
+from slicepoly.quat import Quaternion, UnitImaginary, quatf
 from slicepoly.slicefn import SlicePolyFn, SliceRegularSeries, right_cr_derivative, slice_cr_derivative
 from slicepoly.verify import (  # noqa: F401  (re-exported for the tests)
     _rand_circle_node as rand_circle_node,
@@ -109,6 +109,11 @@ def exact(n, d=1) -> Fraction:
     return Fraction(n, d)
 
 
+def embed_complex(c: complex, i: UnitImaginary) -> Quaternion:
+    """The point c.real + c.imag * i on the slice of i (float backend)."""
+    return quatf(c.real) + i.to_float().u * c.imag
+
+
 def pointwise_integral(kind, f, g, q, path):
     """An integral as pointwise quaternion sandwiches kernel * dw * derivative.
 
@@ -119,22 +124,22 @@ def pointwise_integral(kind, f, g, q, path):
     nodes = path.nodes()
     ff, n = f.to_float(), f.order
     if kind == "residual":
-        lder = [slice_cr_derivative(ff, path.unit, j) for j in range(n)]
-        rder = [right_cr_derivative(g.to_float(), path.unit, j) for j in range(n)]
+        lder = [slice_cr_derivative(ff, j) for j in range(n)]
+        rder = [right_cr_derivative(g.to_float(), j) for j in range(n)]
         terms = [rder[n - 1 - j](w) * dw * lder[j](w) * (-1.0) ** j
                  for w, dw in nodes for j in range(n)]
         scale = 1.0
     elif kind == "cauchy":
-        der = [slice_cr_derivative(ff, path.unit, j) for j in range(n)]
+        der = [slice_cr_derivative(ff, j) for j in range(n)]
         terms = [kernels.f_j(w, q, j) * dw * der[j](w) * (-2.0) ** j
                  for w, dw in nodes for j in range(n)]
         scale = 0.5 / math.pi
     elif kind == "fueter":
-        top = slice_cr_derivative(ff, path.unit, n - 1)
+        top = slice_cr_derivative(ff, n - 1)
         terms = [kernels.delta_s_inv(w, q) * dw * top(w) for w, dw in nodes]
         scale = 2.0 ** (n - 1) / (2.0 * math.pi)
     else:
-        top = slice_cr_derivative(ff, path.unit, n - 1)
+        top = slice_cr_derivative(ff, n - 1)
         terms = []
         for w, dw in nodes:
             dinv = (w * w - w * (2.0 * q.w) + quatf(q.norm_sq())).inverse()

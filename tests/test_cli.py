@@ -300,6 +300,19 @@ class TestIntegrateBoundary:
                            "[0.1,%s,0,0]" % bad) == (1, "")
             assert run_cli(capsys, "apply", "V", spec) == (1, "")
 
+    def test_overflow_in_the_contour_sum_is_named(self, capsys):
+        # near the float maximum the node sums overflow (cauchy, fueter) or the
+        # node terms are infinite before they are summed (residual)
+        big = "[8.98846567431158e+307,0,0,0]"
+        qbar = '{"order":2,"components":[[0],[%s]]}' % big
+        qbar_qsq = '{"order":2,"components":[[0],[0,0,%s]]}' % big
+        for argv in (("cauchy", qbar, "[0.25,0.25,0,0]"), ("fueter", qbar_qsq, "[0.25,0.25,0,0]"),
+                     ("residual", qbar, "--right-spec", qbar)):
+            assert main(["integrate", *argv]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "slicepoly: input error: the integral is beyond the float range\n"
+
 
 CONST_POLY_SPEC = '{"terms":[{"exp":[0,0,0,0],"coef":[1,0,0,0]}]}'
 #: q^65 as an order-1 function spec: one nonzero coefficient above 65 zeros

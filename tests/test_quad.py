@@ -259,7 +259,7 @@ class TestOrderingSensitivity:
         good = poly_cauchy_eval(f, q, PATH)
         assert abs(good - ref) <= 1e-10
 
-        deriv = slice_cr_derivative(f.to_float(), PATH.unit, 0)
+        deriv = slice_cr_derivative(f.to_float(), 0)
         terms = [kernels.f_j(w, q, 0) * deriv(w) * dw for w, dw in PATH.nodes()]
         swapped = quad._reduce(terms, 0.5 / math.pi)
         assert abs(swapped - ref) > 1e-3

@@ -17,14 +17,15 @@ from slicepoly.slicefn import (
     appell_check,
     canonical_perp,
     decompose,
-    embed_complex,
     restrict,
     right_cr_derivative,
     slice_cr_derivative,
+    split_frame,
     _horner,
 )
 
 from helpers import (
+    embed_complex,
     rand_point,
     rand_quat,
     rand_rightfn,
@@ -231,48 +232,51 @@ class TestVLowersOrder:
 
 class TestRestrict:
     def test_identity_function(self):
-        r = restrict(fn([ZERO, ONE]), U1, U2)
         z = 0.3 + 0.4j
-        (F, G), = r.cr_values((0,))(z)
+        (F, G), = restrict(fn([ZERO, ONE]), split_frame(U1, U2), (0,))(z)
         assert abs(F - z) < 1e-15 and abs(G) < 1e-15
 
     def test_coefficient_splits_off(self):
-        r = restrict(SlicePolyFn([S([ZERO, E2])]), U1, U2)
         z = -0.2 + 0.9j
-        (F, G), = r.cr_values((0,))(z)
+        (F, G), = restrict(SlicePolyFn([S([ZERO, E2])]), split_frame(U1, U2), (0,))(z)
         assert abs(F) < 1e-15 and abs(G - z) < 1e-15
 
     def test_conjugate_restriction(self):
-        r = restrict(fn([], [ONE]), U1, U2)
         z = 0.6 - 0.1j
-        (F, G), = r.cr_values((0,))(z)
+        (F, G), = restrict(fn([], [ONE]), split_frame(U1, U2), (0,))(z)
         assert abs(F - z.conjugate()) < 1e-15 and abs(G) < 1e-15
 
-    def _assert_reconstructs(self, seed, rand_fn):
+    def _assert_reconstructs(self, seed, rand_fn, cr_derivative):
+        """P_j + Q_j J from restrict matches f at j = 0 and the closed-form CR^j f at every j < order."""
         rng = random.Random(seed)
         for _ in range(15):
             f = rand_fn(rng, rng.randint(1, 3), 4)
             i = rand_unit(rng)
-            j = canonical_perp(i)
-            r = restrict(f, i, j)
+            frame = split_frame(i, canonical_perp(i))
+            values = restrict(f, frame, range(f.order))
+            derivs = [cr_derivative(f.to_float(), j) for j in range(f.order)]
             for _ in range(5):
                 z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                direct = f.evaluate(embed_complex(z, i))
-                split = r(z)
-                assert abs(split - direct) <= 1e-12 * max(1.0, abs(direct))
+                w = embed_complex(z, i)
+                split = [embed_complex(p, i) + embed_complex(q, i) * frame[1] for p, q in values(z)]
+                direct = f.evaluate(w)
+                assert abs(split[0] - direct) <= 1e-12 * max(1.0, abs(direct))
+                for value, d in zip(split, derivs, strict=True):
+                    ref = d(w)
+                    assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_reconstruction_invariant(self):
-        self._assert_reconstructs(17, rand_slicefn)
+        self._assert_reconstructs(17, rand_slicefn, slice_cr_derivative)
 
     def test_right_function_reconstruction(self):
-        self._assert_reconstructs(19, rand_rightfn)
+        self._assert_reconstructs(19, rand_rightfn, right_cr_derivative)
 
     def test_requires_anticommuting_units(self):
         with pytest.raises(NotOrthogonal):
-            restrict(fn([ONE]), U1, U1)
+            split_frame(U1, U1)
         skew = UnitImaginary.from_vector(1.0, 1.0, 0.0)
         with pytest.raises(NotOrthogonal):
-            restrict(fn([ONE]), U1, skew)
+            split_frame(U1, skew)
 
     def test_canonical_perp_always_orthogonal(self):
         rng = random.Random(19)
@@ -290,28 +294,28 @@ class TestSliceCRDerivative:
     def test_conjugate_square_ladder(self):
         f = fn([], [], [ONE])  # conj(q)^2 at order 3
         z = quatf(0.3, 0.7)
-        assert slice_cr_derivative(f, U1, 1)(z).approx_eq(z.conjugate() * 2.0)
-        assert slice_cr_derivative(f, U1, 2)(z).approx_eq(quatf(2.0))
-        assert slice_cr_derivative(f, U1, 3)(z).approx_eq(quatf(0.0))
+        assert slice_cr_derivative(f, 1)(z).approx_eq(z.conjugate() * 2.0)
+        assert slice_cr_derivative(f, 2)(z).approx_eq(quatf(2.0))
+        assert slice_cr_derivative(f, 3)(z).approx_eq(quatf(0.0))
 
     def test_slice_regular_has_zero_derivative(self):
         f = fn([ZERO, ONE])
         z = quatf(-0.4, 0.2)
-        assert slice_cr_derivative(f, U1, 1)(z).approx_eq(quatf(0.0))
+        assert slice_cr_derivative(f, 1)(z).approx_eq(quatf(0.0))
 
     def test_mixed_example(self):
         # f = conj(q) q^2, first derivative is z^2 on the slice
         f = fn([], [ZERO, ZERO, ONE])
         for y in (0.5, 1.0, -0.7):
             z = quatf(1.0) + U1.to_float().u * y
-            assert slice_cr_derivative(f, U1, 1)(z).approx_eq(z * z)
+            assert slice_cr_derivative(f, 1)(z).approx_eq(z * z)
 
     def test_order_derivative_annihilates(self):
         rng = random.Random(23)
         for _ in range(10):
             f = rand_slicefn(rng, rng.randint(1, 4), 4)
             i = rand_unit(rng)
-            d = slice_cr_derivative(f.to_float(), i, f.order)
+            d = slice_cr_derivative(f.to_float(), f.order)
             for _ in range(5):
                 x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
                 z = quatf(x) + i.u * y
@@ -326,7 +330,7 @@ class TestSliceCRDerivative:
             i = rand_unit(rng)
             z = quatf(rng.uniform(-0.8, 0.8)) + i.u * rng.uniform(-0.8, 0.8)
             fd = fd_slice_cr(lambda p: f.evaluate(p), i.u, z, 1e-5)
-            closed = slice_cr_derivative(f, i, 1)(z)
+            closed = slice_cr_derivative(f, 1)(z)
             assert abs(fd - closed) < 1e-8
 
 
@@ -368,9 +372,9 @@ class TestRightSided:
     def test_right_derivative_ladder(self):
         g = RightSlicePolyFn([[], [], [ONE]])  # conj(q)^2, order 3
         z = quatf(0.2, -0.4)
-        assert right_cr_derivative(g, U1, 1)(z).approx_eq(z.conjugate() * 2.0)
-        assert right_cr_derivative(g, U1, 2)(z).approx_eq(quatf(2.0))
-        assert right_cr_derivative(g, U1, 3)(z).approx_eq(quatf(0.0))
+        assert right_cr_derivative(g, 1)(z).approx_eq(z.conjugate() * 2.0)
+        assert right_cr_derivative(g, 2)(z).approx_eq(quatf(2.0))
+        assert right_cr_derivative(g, 3)(z).approx_eq(quatf(0.0))
 
     def test_right_regular_annihilated(self):
         rng = random.Random(41)
@@ -378,7 +382,7 @@ class TestRightSided:
             g = rand_rightfn(rng, rng.randint(1, 3), 4).to_float()
             i = rand_unit(rng)
             z = quatf(rng.uniform(-1, 1)) + i.u * rng.uniform(-1, 1)
-            assert abs(right_cr_derivative(g, i, g.order)(z)) == 0.0
+            assert abs(right_cr_derivative(g, g.order)(z)) == 0.0
 
 
 # -- evaluate is the order-0 slice CR sum ------------------------------------------------
@@ -433,9 +437,9 @@ class TestEvaluateIsTheOrderZeroSum:
             z = quatf(rng.uniform(-1, 1)) + i.u * rng.uniform(-1, 1)
             z_exact = Quaternion(Fraction(rng.randint(-4, 4), 3), Fraction(rng.randint(-4, 4), 5), 0, 0)
             for h, cr in ((f, slice_cr_derivative), (g, right_cr_derivative)):
-                assert bits(cr(h, U1, 0)(z_exact)) == bits(h.evaluate(z_exact))
+                assert bits(cr(h, 0)(z_exact)) == bits(h.evaluate(z_exact))
                 hf = h.to_float()
-                assert bits(cr(hf, i, 0)(z)) == bits(hf.evaluate(z))
+                assert bits(cr(hf, 0)(z)) == bits(hf.evaluate(z))
 
 
 class TestJsonSchema:
