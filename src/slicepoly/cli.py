@@ -84,18 +84,14 @@ def _cmd_apply(args) -> int:
         raise ValueError(f"--order must be an integer in [1, {MAX_ORDER}]")
     order = args.order if args.order is not None else (obj.order if is_fn else None)
 
-    if args.op in _SIMPLE_OPS:
-        result = _SIMPLE_OPS[args.op](obj.expand() if is_fn else obj)
-    elif args.op == "tau":
-        if order is None:
-            raise ValueError("tau on a raw polynomial spec needs --order")
-        result = qpoly.tau_n(obj.expand() if is_fn else obj, order)
-    else:  # c_n
-        if not is_fn:
-            if order is None:
-                raise ValueError("c_n on a raw polynomial spec needs --order")
-            obj = decompose(obj, order)
-        result = obj.poly_fueter_image()
+    if not is_fn and args.op in ("tau", "c_n") and order is None:
+        raise ValueError(f"{args.op} on a raw polynomial spec needs --order")
+    if is_fn:  # on the stem; a raw spec goes through the four-variable sweeps
+        result = obj.image(args.op, order)
+    elif args.op == "c_n":
+        result = decompose(obj, order).image("c_n")
+    else:
+        result = qpoly.tau_n(obj, order) if args.op == "tau" else _SIMPLE_OPS[args.op](obj)
 
     _emit(result.to_json(), args.format, [str(result)])
     return 0

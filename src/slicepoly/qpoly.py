@@ -13,7 +13,8 @@ conjugate (imaginary units multiply derivatives from the left), the global
 operator ``G = |vec|^2 d/dx0 + vec * sum x_l d/dx_l``, its normalization
 ``V = G / |vec|^2`` realized as exact division, its powers ``V^k``, the
 iterated map ``tau_n = laplacian o V^(n-1)``, and the componentwise map
-``c_n = sum x0^k laplacian(f_k)``.
+``c_n = sum x0^k laplacian(f_k)``.  ``_expand_stem`` expands a stem (see
+slicefn) once: ``q^n``, ``conj(q)^k`` and every function of the class are built so.
 
 The Laplacian, both Cauchy-Fueter operators and ``G`` are single sweeps over
 the term dict: each term ``x^a c`` emits its image terms into one dict, and
@@ -39,9 +40,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 from math import comb, fsum
-from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeCapExceeded, NotDivisible, NotFueterRegular
@@ -58,6 +58,7 @@ DEGREE_CAP = 64
 # key layout (see the module docstring): _E[l] is the key step of multiplying by x_l
 _LOW = (1 << 28) - 1
 _E0, _E1, _E2, _E3 = _E = tuple((1 << 28) + (1 << s) for s in (21, 14, 7, 0))
+_L0, _L1, _L2, _L3 = (2 * e for e in _E)  # x_l^2
 
 
 class QPoly:
@@ -153,7 +154,7 @@ class QPoly:
     def __add__(self, other):
         if not isinstance(other, QPoly):
             return NotImplemented
-        return _collect(other._terms.items(), dict(self._terms))
+        return _wrap(_merge(other._terms.items(), dict(self._terms)))
 
     def __sub__(self, other):
         if not isinstance(other, QPoly):
@@ -344,25 +345,55 @@ VEC_NORM_SQ_POLY = QPoly({(0, 2, 0, 0): Quaternion(1, 0, 0, 0),
                           (0, 0, 0, 2): Quaternion(1, 0, 0, 0)})
 
 
-def _binomial_power(vec: QPoly, n: int) -> QPoly:
-    """(x0 + vec)^n by the binomial theorem (x0 is central); vec^2 is real, so vec^j stays small."""
-    if n < 0:
+@lru_cache(maxsize=None)
+def _power_stem(k: int, m: int) -> tuple:
+    """The stem of conj(q)^k q^m = sum_t c_t x0^(k+m-t) v^t as ((part, i, j), w) pairs, w != 0."""
+    if k < 0 or m < 0:
         raise ValueError("power must be nonnegative")
-    _refuse_degree(n)
-    vec_powers = accumulate([vec] * n, mul, initial=QPoly.one())
-    return qsum(X0 ** (n - j) * v * comb(n, j) for j, v in enumerate(vec_powers))
+    _refuse_degree(k + m)
+    c = [1]  # c_t = sum_b (-1)^b C(k, b) C(m, t-b), one factor 1 -+ v at a time; v^2 = -s
+    for sign in (-1,) * k + (1,) * m:
+        c = [a + sign * b for a, b in zip(c + [0], [0] + c)]
+    return tuple(((t % 2, k + m - t, t // 2), -w if t & 2 else w) for t, w in enumerate(c) if w)
+
+
+@lru_cache(maxsize=None)
+def _multinomial(j: int) -> tuple:
+    """(key step, j!/(a! b! c!)) of each monomial x1^2a x2^2b x3^2c of s^j."""
+    return tuple((a * _L1 + b * _L2 + (j - a - b) * _L3, comb(j, a) * comb(j - a, b))
+                 for a in range(j + 1) for b in range(j - a + 1))
+
+
+def _expand_stem(stem: Mapping[tuple, Coef]) -> QPoly:
+    """The polynomial of a stem: s^j by the multinomial theorem, v c = sum_l x_l (e_l c).  Part 0
+    gives even a1, a2, a3 and part 1 one odd one, so no two entries share a key."""
+    out: dict[int, Coef] = {}
+    for (part, i, j), (w, x, y, z) in stem.items():
+        base = i * _E0
+        units = ((_E1, (-x, w, -z, y)), (_E2, (-y, z, w, -x)), (_E3, (-z, -y, x, w))) if part \
+            else ((0, (w, x, y, z)),)
+        for step, n in _multinomial(j):
+            for e, (cw, cx, cy, cz) in units:
+                out[base + step + e] = (n * cw, n * cx, n * cy, n * cz)
+    return _wrap(out)
+
+
+def _power_sum(weights: Iterable[tuple[int, int, int]]) -> QPoly:
+    """sum w conj(q)^k q^m over the nonzero integer weights (k, m, w), built on the stem."""
+    return _expand_stem(_merge((key, (w * c, 0, 0, 0)) for k, m, w in weights
+                               for key, c in _power_stem(k, m)))
 
 
 @lru_cache(maxsize=None)
 def expand_q_power(n: int) -> QPoly:
     """The function q -> q^n as a polynomial in x0..x3."""
-    return _binomial_power(VEC_POLY, n)
+    return _power_sum([(0, n, 1)])
 
 
 @lru_cache(maxsize=None)
 def expand_qbar_power(k: int) -> QPoly:
     """The function q -> conj(q)^k as a polynomial in x0..x3."""
-    return _binomial_power(-VEC_POLY, k)
+    return _power_sum([(k, 0, 1)])
 
 
 # -- differential operators ----------------------------------------------------------
@@ -381,8 +412,9 @@ def partial(p: QPoly, axis: int) -> QPoly:
     return _wrap(out)
 
 
-def _collect(pairs: Iterable[tuple[int, Coef]], out: dict[int, Coef] | None = None) -> QPoly:
-    """Merge (key, nonzero coefficient) pairs into ``out`` (taken over) or {}; zero sums drop."""
+def _merge(pairs: Iterable[tuple], out: dict | None = None) -> dict:
+    """Merge (key, nonzero coefficient) pairs into ``out`` (taken over) or {}; zero sums drop.
+    Keys are packed monomials for a polynomial and (part, i, j) for a stem."""
     if out is None:
         out = {}
     get = out.get
@@ -396,21 +428,20 @@ def _collect(pairs: Iterable[tuple[int, Coef]], out: dict[int, Coef] | None = No
             out[k] = (w, x, y, z)
         else:
             del out[k]
-    return _wrap(out)
+    return out
 
 
 def qsum(polys: Iterable[QPoly]) -> QPoly:
     """The sum of ``polys`` in one pass: the first one's terms are copied once, the rest merged in."""
     it = iter(polys)
     first = next(it, QPoly.zero())
-    return _collect(chain.from_iterable(p._terms.items() for p in it), dict(first._terms))
+    return _wrap(_merge(chain.from_iterable(p._terms.items() for p in it), dict(first._terms)))
 
 
 # Left multiplication by e1, e2, e3 is a signed permutation of (w, x, y, z):
 #   e1 c = (-x, w, -z, y),  e2 c = (-y, z, w, -x),  e3 c = (-z, -y, x, w).
 # Each sweep moves keys by constant steps: the Laplacian by x_l^-2, the
 # |vec|^2 d/dx0 part of G by x0^-1 x_l^2.
-_L0, _L1, _L2, _L3 = (2 * e for e in _E)
 _G1, _G2, _G3 = (2 * e - _E0 for e in (_E1, _E2, _E3))
 
 
@@ -472,7 +503,7 @@ def laplacian(p: QPoly) -> QPoly:
 
     One sweep: x^a c contributes a_l (a_l - 1) c at a - 2 e_l for each axis l.
     """
-    return _collect(_laplacian_terms(p))
+    return _wrap(_merge(_laplacian_terms(p)))
 
 
 def cauchy_fueter(p: QPoly) -> QPoly:
@@ -481,12 +512,12 @@ def cauchy_fueter(p: QPoly) -> QPoly:
     The imaginary units multiply the derivatives from the left.  One sweep:
     x^a c contributes a0 c at a - e0 and a_l (e_l c) at a - e_l.
     """
-    return _collect(_fueter_terms(p, 1))
+    return _wrap(_merge(_fueter_terms(p, 1)))
 
 
 def conjugate_cauchy_fueter(p: QPoly) -> QPoly:
     """Conjugate Cauchy-Fueter operator: d/dx0 - e1 d/dx1 - e2 d/dx2 - e3 d/dx3."""
-    return _collect(_fueter_terms(p, -1))
+    return _wrap(_merge(_fueter_terms(p, -1)))
 
 
 def global_g(p: QPoly) -> QPoly:
@@ -499,7 +530,7 @@ def global_g(p: QPoly) -> QPoly:
     a product.
     """
     _refuse_degree(p.degree + 1)
-    return _collect(_g_terms(p))
+    return _wrap(_merge(_g_terms(p)))
 
 
 def divide_by_vecnorm_sq(p: QPoly) -> QPoly:
@@ -598,11 +629,9 @@ def is_poly_fueter(p: QPoly, n: int) -> bool:
 
 def dirac_power_closed_form(n: int) -> QPoly:
     """-2 sum_{k=1..n} q^(n-k) conj(q)^(k-1): the Cauchy-Fueter image of q^n (n >= 2)."""
-    return qsum(expand_q_power(n - k) * expand_qbar_power(k - 1)
-                for k in range(1, n + 1)) * Fraction(-2)
+    return _power_sum((k - 1, n - k, -2) for k in range(1, n + 1))
 
 
 def laplacian_power_closed_form(n: int) -> QPoly:
     """-4 sum_{k=1..n-1} (n-k) q^(n-k-1) conj(q)^(k-1): the Laplacian of q^n (n >= 2)."""
-    return qsum((expand_q_power(n - k - 1) * expand_qbar_power(k - 1)) * (n - k)
-                for k in range(1, n)) * Fraction(-4)
+    return _power_sum((k - 1, n - k - 1, -4 * (n - k)) for k in range(1, n))

@@ -149,7 +149,10 @@ class Quaternion:
         return self.x * self.x + self.y * self.y + self.z * self.z
 
     def __abs__(self) -> float:
-        return math.sqrt(float(self.norm_sq()))
+        n2 = self.norm_sq()
+        if type(n2) is not float or 2.0**-960 <= n2 < math.inf:  # exact, or the squares are safe
+            return math.sqrt(float(n2))
+        return math.hypot(self.w, self.x, self.y, self.z)  # squares overflowed or lost bits
 
     def vec(self) -> "Quaternion":
         return Quaternion._new(0 if self.is_exact else 0.0, self.x, self.y, self.z)

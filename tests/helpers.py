@@ -3,10 +3,11 @@
 The oracles here deliberately avoid the package's arithmetic paths: naive_mul
 works off the literal basis multiplication table, naive_poly_eval walks a raw
 term dictionary, pointwise_integral sums quaternion sandwiches node by node
-instead of using the slice-complex driver, and v_peel_decompose peels the
-components off with the operator V instead of reading them off one slice, so
-the tests cross two independent implementations wherever a derived value is
-asserted.  The seeded generators are the verify suites' own corpus,
+instead of using the slice-complex driver, v_peel_decompose peels the
+components off with the operator V instead of reading them off one slice, and
+horner_expansions multiplies by q and conj(q) one factor at a time instead of
+building a stem, so the tests cross two independent implementations wherever
+a derived value is asserted.  The seeded generators are the verify suites' own corpus,
 re-exported under public names: they only draw inputs, and one corpus means
 the tests and the suites draw the same instances.
 """
@@ -96,6 +97,26 @@ def v_peel_decompose(p: QPoly, n: int) -> SlicePolyFn:
     if not work.is_zero():
         raise NotInClass("nonzero residual after peeling all components")
     return SlicePolyFn(comps).trim()
+
+
+def horner_expansions(f: SlicePolyFn) -> tuple[QPoly, list[QPoly]]:
+    """The expansion of f and of each component by four-variable products, the stem's oracle.
+
+    Horner's rule, f_k = a_0 + q (a_1 + q (...)) and f = f_0 + conj(q) (f_1 +
+    conj(q) (...)), multiplies by the four-term Q_POLY or QBAR_POLY at each
+    step, so q^64 costs about 1.6M term pairs and not the 12M of the last
+    product of a square-and-multiply.
+    """
+    comps = []
+    for comp in f.components:
+        acc = QPoly.zero()
+        for a in reversed(comp.coeffs):
+            acc = qpoly.Q_POLY * acc + QPoly.constant(a)
+        comps.append(acc)
+    total = QPoly.zero()
+    for acc in reversed(comps):
+        total = qpoly.QBAR_POLY * total + acc
+    return total, comps
 
 
 def rand_nonzero_quat(rng: random.Random, cmax: int = 3) -> Quaternion:

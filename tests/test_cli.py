@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slicepoly import kernels, qpoly, verify
+from slicepoly import kernels, qpoly, slicefn, verify
 from slicepoly.cli import main
 from slicepoly.qpoly import DEGREE_CAP, QPoly
 from slicepoly.quat import quatf
@@ -233,6 +233,15 @@ class TestIntegrate:
         code, out = run_cli(capsys, "integrate", "cauchy", "-", "[0.1,0.1,0,0]")
         assert code == 0
 
+    def test_deviation_is_finite_across_the_float_range(self, capsys):
+        # the squares of a 1e183 deviation overflow and those of 5e-203 underflow to 0
+        for scale, flags, deviation in (("1e200", (), 4.249103942534137e+183),
+                                        ("1e-200", ("--nodes", "4"), 5.439282932204142e-203)):
+            spec = '{"order":2,"components":[[0],[[%s,0,0,0]]]}' % scale
+            code, out = run_cli(capsys, "integrate", "cauchy", spec, "[0.25,0.25,0,0]", *flags)
+            assert code == 0
+            assert json.loads(out)["abs_deviation"] == deviation
+
 
 def _strict_json(out: str) -> None:
     """stdout is empty or one JSON document without NaN or infinities."""
@@ -317,6 +326,9 @@ class TestIntegrateBoundary:
 CONST_POLY_SPEC = '{"terms":[{"exp":[0,0,0,0],"coef":[1,0,0,0]}]}'
 #: q^65 as an order-1 function spec: one nonzero coefficient above 65 zeros
 Q65_SPEC = json.dumps({"order": 1, "components": [[0] * (DEGREE_CAP + 1) + [1]]})
+#: a degree-64 order-1 spec: q^64 (1/2 e1 + e3) + q^32 2 e1 + (1 - 1/3 e2 + 2 e3)
+Q64_SPEC = json.dumps({"order": 1, "components": [[[1, 0, "-1/3", 2]] + [0] * 31 + [[0, 2, 0, 0]]
+                                                  + [0] * 31 + [[0, "1/2", 0, 1]]]})
 CAP_ERROR = '{"error": "DegreeCapExceeded", "message": "total degree exceeds cap 64"}\n'
 
 
@@ -345,11 +357,16 @@ class TestWorkBounds:
 
     def test_degree_cap_refused_before_expansion(self, capsys, monkeypatch):
         _budget(monkeypatch, QPoly, "__mul__", 0)
+        _budget(monkeypatch, slicefn, "_stem", 0)
         full = json.dumps({"order": 1, "components": [[1] * (DEGREE_CAP + 2)]})
         late = json.dumps({"order": 60, "components": [[]] * 59 + [[0] * 10 + [1]]})
         for spec in (Q65_SPEC, full, late):
-            for op in ("D", "V", "tau", "c_n")[:3 if spec is late else 4]:
+            for op in ("G", "V", "D", "Dbar", "laplacian", "tau", "c_n"):
                 assert run_cli(capsys, "apply", op, spec) == (2, CAP_ERROR)
+        # the images of G, V and V^(n-1) would reach degree 65; c_n multiplies by x0^65
+        for argv in (("G", Q64_SPEC), ("V", Q64_SPEC), ("tau", Q64_SPEC, "--order", "2"),
+                     ("c_n", json.dumps({"order": DEGREE_CAP + 2, "components": [[1]]}))):
+            assert run_cli(capsys, "apply", *argv) == (2, CAP_ERROR)
 
     def test_raw_polynomial_above_the_cap(self, capsys, monkeypatch):
         _budget(monkeypatch, QPoly, "__mul__", 0)
@@ -401,6 +418,23 @@ class TestApplyDigests:
          "f529f334b46f7aad0344f27245607c8d6e818ac6df3b13d7937d62546b8e9b16"),
         (("tau", None, "--order", "3"), 0,
          "a9f9f2195c9190d654207746b4685aae7c6d6a1a8eeb09aeedb536765011ecdb"),
+        (("G", F3), 0, "077236113266ac99811985772cf3872da3a99c0e7ef9c87db14af761f5fe671e"),
+        (("G", F2, "--format", "text"), 0,
+         "b04429c4a3710387f8c76270fa68d61b936632185682aed204f15a1ab50a6a13"),
+        (("Dbar", F2), 0, "94efb6fec1eed7a4e7571e2f049bd183038ba315c326fd8fe6ffeb6768c64048"),
+        (("Dbar", F3), 0, "4d79f04f7ebdf43ee14150bbd93c018d71d603d4389bb70712fc3a2fc1bad0fd"),
+        # --order overrides the declared order
+        (("tau", F2, "--order", "4"), 0,
+         "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
+        (("tau", F3, "--order", "1"), 0,
+         "4b616cbdb67106cb24b064927376511fc9930fbbc28115e370c2c0959a6dceae"),
+        # at the degree cap: G, V and tau of order 2 refuse, the others lower the degree
+        *((argv, 2, "cc0e310094e8990f33284f34c53ad464ce720848a4f407d5e56fa76d6e671943")
+          for argv in (("G", Q64_SPEC), ("V", Q64_SPEC), ("tau", Q64_SPEC, "--order", "2"))),
+        (("D", Q64_SPEC), 0, "cdce75af97b4c3d822949dad963b260697c18a995b6d7d906f09d08743c17965"),
+        (("Dbar", Q64_SPEC), 0, "d92fba98fc29a9e107fe2b39737ea3864a78cf592487d547c85aa3fb1dfc0c4c"),
+        *(((op, Q64_SPEC), 0, "bd91e3d633fd60957dc517163f6ed78235fe6f5e07fc074d733c54825e91115a")
+          for op in ("laplacian", "tau", "c_n")),
     ]
 
     @pytest.mark.parametrize("argv, code, digest", CASES,

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from slicepoly.quat import (
     E1,
@@ -98,6 +99,19 @@ class TestInverse:
     def test_modulus_identity(self):
         q = Quaternion(1, 2, -3, 4)
         assert q * q.conjugate() == Quaternion(q.norm_sq(), 0, 0, 0)
+
+
+class TestNorm:
+    @given(float_quats, st.integers(-1000, 1000))
+    @example(quatf(1.0, -1.0, 0.0, 0.0), 1000)
+    @example(quatf(3.0, 4.0, 0.0, 0.0), -997)
+    def test_scales_over_the_float_range(self, q, e):
+        # |2^e q| = 2^e |q| to a few ulps although the squares leave the float range
+        top = max(map(abs, (q.w, q.x, q.y, q.z)))
+        assume(top >= 1e-3 and math.ldexp(top, e) >= 2.0**-1000)
+        want = math.ldexp(abs(q), e)
+        got = abs(quatf(*(math.ldexp(c, e) for c in (q.w, q.x, q.y, q.z))))
+        assert abs(got - want) <= 4 * sys.float_info.epsilon * want
 
 
 class TestUnitImaginary:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slicepoly import qpoly
+from slicepoly import qpoly, slicefn
 from slicepoly.errors import DegreeCapExceeded, NotInClass, NotOrthogonal
 from slicepoly.qpoly import QPoly, expand_q_power, expand_qbar_power, global_v
 from slicepoly.quat import E1, E2, ONE, Quaternion, U1, U2, UnitImaginary, ZERO, quatf
@@ -26,6 +26,7 @@ from slicepoly.slicefn import (
 
 from helpers import (
     embed_complex,
+    horner_expansions,
     rand_point,
     rand_quat,
     rand_rightfn,
@@ -66,21 +67,21 @@ class TestExpand:
                 q = rand_quat(rng)
                 assert p.evaluate(q) == f.evaluate(q)
 
-    def test_zero_coefficients_skipped(self, monkeypatch):
-        powers = []
-        power = qpoly.expand_q_power
-        monkeypatch.setattr(qpoly, "expand_q_power", lambda m: powers.append(m) or power(m))
-        assert S([ZERO, ZERO, ZERO, E2]).expand() == expand_q_power(3) * E2
-        assert powers == [3]
+    def test_zero_coefficients_skipped(self):
+        # q^3 = x0^3 + 3 v x0^2 - 3 x0 s - v s: the zeros below E2 add no stem entry
+        f = S([ZERO, ZERO, ZERO, E2])
+        assert slicefn._stem([f]) == {(0, 3, 0): (0, 0, 1, 0), (1, 2, 0): (0, 0, 3, 0),
+                                      (0, 1, 1): (0, 0, -3, 0), (1, 0, 1): (0, 0, -1, 0)}
+        assert f.expand() == expand_q_power(3) * E2
 
     def test_degree_cap_before_any_power(self, monkeypatch):
-        powers = []
-        monkeypatch.setattr(qpoly, "expand_q_power", lambda m: powers.append(m))
+        stems = []
+        monkeypatch.setattr(slicefn, "_stem", lambda comps: stems.append(comps))
         with pytest.raises(DegreeCapExceeded):
             S([ONE] * (qpoly.DEGREE_CAP + 2)).expand()
         with pytest.raises(DegreeCapExceeded):
             SlicePolyFn([S()] * qpoly.DEGREE_CAP + [S([ZERO, ONE])]).expand()
-        assert powers == []
+        assert stems == []
 
     def test_series_expansion_in_global_kernel(self):
         rng = random.Random(5)
@@ -206,6 +207,37 @@ class TestDecomposeOracle:
         with pytest.raises(NotInClass, match="not the expansion"):
             decompose(p, 23)
         assert 0 < len(calls) <= 22
+
+
+def _image(route):
+    """The image, or the DegreeCapExceeded message."""
+    try:
+        return route()
+    except DegreeCapExceeded as exc:
+        return str(exc)
+
+
+_C = Quaternion(1, -1, 2, 0)  # int: Fraction products at the cap take minutes
+_SWEEPS = (("G", qpoly.global_g), ("V", qpoly.global_v), ("D", qpoly.cauchy_fueter),
+           ("Dbar", qpoly.conjugate_cauchy_fueter), ("laplacian", qpoly.laplacian))
+
+
+class TestStemRoutes:
+    """Every stem route against its four-variable sweep on the Horner expansion."""
+
+    @settings(deadline=None)
+    @given(_fns)
+    @example(SlicePolyFn([S([ZERO] * qpoly.DEGREE_CAP + [_C])]))
+    @example(SlicePolyFn([S()] * qpoly.DEGREE_CAP + [S([_C])]))
+    @example(SlicePolyFn([S()] * 32 + [S([ZERO] * 32 + [_C])]))
+    def test_stem_routes_match_the_sweeps(self, f):
+        p, comps = horner_expansions(f)
+        assert f.expand() == p
+        for op, sweep in _SWEEPS:
+            assert _image(lambda: f.image(op)) == _image(lambda: sweep(p)), op
+        for n in range(1, 6):
+            assert _image(lambda: f.image("tau", n)) == _image(lambda: qpoly.tau_n(p, n)), n
+        assert _image(lambda: f.image("c_n")) == _image(lambda: qpoly.c_n(comps))
 
 
 class TestVLowersOrder:
@@ -482,14 +514,14 @@ class TestMaps:
         rng = random.Random(53)
         for _ in range(15):
             f = rand_slicefn(rng, rng.randint(1, 4), 5)
-            assert qpoly.is_poly_fueter(f.poly_fueter_image(), f.order)
+            assert qpoly.is_poly_fueter(f.image("c_n"), f.order)
 
     def test_bridge_identity(self):
         rng = random.Random(59)
         for _ in range(15):
             n = rng.randint(1, 4)
             f = rand_slicefn(rng, n, 5)
-            lhs = f.poly_fueter_image()
+            lhs = f.image("c_n")
             for _ in range(n - 1):
                 lhs = qpoly.cauchy_fueter(lhs)
             assert lhs == f.fueter_image() * Fraction(1, 2 ** (n - 1))
