@@ -52,19 +52,19 @@ from .slicefn import (
     SliceRegularSeries,
     appell_apply,
     appell_check,
-    canonical_perp,
     decompose,
-    restrict,
     right_cr_derivative,
     slice_cr_derivative,
 )
 from .kernels import delta_s_inv, f_j, s_inv
 from .quad import (
     CirclePath,
+    canonical_perp,
     cauchy_theorem_residual,
     fueter_integral,
     fueter_integral_explicit,
     poly_cauchy_eval,
+    restrict,
     unit_independence_check,
 )
 

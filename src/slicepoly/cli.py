@@ -156,7 +156,7 @@ def _cmd_integrate(args) -> int:
             reference = f.evaluate(q)
         else:
             value = quad.fueter_integral(f, q, path)
-            reference = _exact(f).fueter_image().evaluate(q)
+            reference = _exact(f).image("tau").evaluate(q)
 
     deviation = abs(value - reference)
     payload = {

@@ -346,15 +346,22 @@ VEC_NORM_SQ_POLY = QPoly({(0, 2, 0, 0): Quaternion(1, 0, 0, 0),
 
 
 @lru_cache(maxsize=None)
+def _binomial_row(k: int, m: int) -> tuple:
+    """The coefficients of (1 - t)^k (1 + t)^m by ascending power of t, zeros included."""
+    c = [1]  # c_t = sum_b (-1)^b C(k, b) C(m, t-b), one factor 1 -+ t at a time
+    for sign in (-1,) * k + (1,) * m:
+        c = [a + sign * b for a, b in zip(c + [0], [0] + c)]
+    return tuple(c)
+
+
+@lru_cache(maxsize=None)
 def _power_stem(k: int, m: int) -> tuple:
-    """The stem of conj(q)^k q^m = sum_t c_t x0^(k+m-t) v^t as ((part, i, j), w) pairs, w != 0."""
+    """conj(q)^k q^m = sum_t c_t x0^(k+m-t) v^t, c_t = _binomial_row(k, m)[t], as a stem."""
     if k < 0 or m < 0:
         raise ValueError("power must be nonnegative")
     _refuse_degree(k + m)
-    c = [1]  # c_t = sum_b (-1)^b C(k, b) C(m, t-b), one factor 1 -+ v at a time; v^2 = -s
-    for sign in (-1,) * k + (1,) * m:
-        c = [a + sign * b for a, b in zip(c + [0], [0] + c)]
-    return tuple(((t % 2, k + m - t, t // 2), -w if t & 2 else w) for t, w in enumerate(c) if w)
+    return tuple(((t % 2, k + m - t, t // 2), -w if t & 2 else w)
+                 for t, w in enumerate(_binomial_row(k, m)) if w)
 
 
 @lru_cache(maxsize=None)
@@ -597,10 +604,10 @@ def tau_n(p: QPoly, n: int) -> QPoly:
 def c_n(components: Sequence[QPoly]) -> QPoly:
     """sum_k x0^k laplacian(f_k) over slice regular component expansions.
 
-    The result is poly-Fueter regular of the order given by the component
-    count (the Cauchy-Fueter operator applied that many times kills it).
+    The result is poly-Fueter regular of the order given by the component count (the
+    Cauchy-Fueter operator applied that many times kills it); a zero laplacian(f_k) costs no x0^k.
     """
-    return qsum(X0**k * laplacian(comp) for k, comp in enumerate(components))
+    return qsum(X0**k * lap for k, lap in enumerate(map(laplacian, components)) if lap._terms)
 
 
 def build_poly_fueter(phis: Iterable[QPoly]) -> QPoly:

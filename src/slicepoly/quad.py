@@ -11,7 +11,7 @@ integrated function, in exactly that order (the tests keep a witness that
 moving dw_I changes the answer).  All node work stays in C_I as Python
 complex: with J = canonical_perp(I) every quaternion is a + b J for a, b in
 C_I, and J c = conj(c) J, so one driver, _contour_sum, serves all four
-integrals, reading the coefficients as split once by slicefn.restrict.
+integrals, reading the coefficients as split once by restrict.
 Per-component math.fsum makes results bit-for-bit reproducible for a given N;
 they move only in the last ulps from the per-node quaternion route, which
 verify keeps as the independent reference.  No numpy: its import alone costs
@@ -22,17 +22,93 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import Callable
 
 from . import kernels
-from .errors import OnSingularSphere, OrderMismatch, OutsideContour
+from .errors import NotOrthogonal, OnSingularSphere, OrderMismatch, OutsideContour
 from .quat import Quaternion, UnitImaginary, quatf
-from .slicefn import (
-    RightSlicePolyFn, SlicePolyFn, _finite, canonical_perp, restrict, split_coeff, split_frame)
+from .slicefn import RightSlicePolyFn, SlicePolyFn
 
 #: accepted node counts: MIN_NODES <= N <= MAX_NODES
 MIN_NODES = 4
 MAX_NODES = 2**20
+
+
+# -- slice restriction and splitting -------------------------------------------
+
+
+def _dot4(a: Quaternion, b: Quaternion) -> float:
+    return a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
+
+
+def canonical_perp(i: UnitImaginary) -> UnitImaginary:
+    """A deterministic unit orthogonal to i: normalize i x e1, falling back to i x e2."""
+    u = i.to_float().u
+    vx, vy, vz = 0.0, u.z, -u.y          # cross(vec(i), e1)
+    if vy * vy + vz * vz < 1e-12:
+        vx, vy, vz = -u.z, 0.0, u.x      # cross(vec(i), e2)
+    return UnitImaginary.from_vector(vx, vy, vz)
+
+
+def split_frame(i: UnitImaginary, j: UnitImaginary) -> tuple[Quaternion, Quaternion, Quaternion]:
+    """Float units (i, j, k = ij) of a splitting; NotOrthogonal unless i and j anticommute."""
+    i, j = i.to_float(), j.to_float()
+    if not abs(i.u * j.u + j.u * i.u) <= 1e-12:
+        raise NotOrthogonal("the chosen units do not anticommute")
+    return i.u, j.u, (i.u * j.u).vec()
+
+
+def split_coeff(a: Quaternion, frame: tuple) -> tuple[complex, complex]:
+    """The pair (c1, c2) with a = c1 + c2 j and c1, c2 on the slice of i, as complex numbers."""
+    av = a.to_float()
+    iu, ju, ku = frame
+    return complex(av.w, _dot4(av, iu)), complex(_dot4(av, ju), _dot4(av, ku))
+
+
+def _finite(value, what: str) -> float:
+    """float(value), or ValueError when it lies beyond the float range."""
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} is beyond the float range")
+    return float(value)
+
+
+def restrict(f: SlicePolyFn | RightSlicePolyFn, frame: tuple, js) -> Callable[[complex], list]:
+    """values(z) -> [(P_j, Q_j) for j in js] with CR^j f = P_j + Q_j J at z on the slice of I.
+
+    The one place that splits a left or right function's coefficients: over a
+    split_frame triple (I, J, IJ), a = c1 + c2 J with c1, c2 on the slice of I,
+    as complex numbers via 1 -> 1, I -> i.  CR^j f = sum_{k>=j} k!/(k-j)!
+    conj(z)^(k-j) (F_k(z) + G_k(z) J) by Horner sums; for a right function
+    J z^m = conj(z)^m J swaps z and conj(z) in G_k and in its power factor.
+    Weights beyond the float range raise ValueError.
+    """
+    right_sided = isinstance(f, RightSlicePolyFn)
+    comps = f.components if right_sided else [c.coeffs for c in f.components]
+    pairs = [tuple(split_coeff(a, frame) for a in reversed(cs)) for cs in comps]
+    while pairs and not pairs[-1]:
+        pairs.pop()
+    plans = [[(k, _finite(math.perm(k, j), "a derivative weight k!/(k-j)!") if pairs[k] else 0.0)
+              for k in range(len(pairs) - 1, j - 1, -1)] for j in js]
+
+    def values(z: complex) -> list:
+        zb = z.conjugate()
+        zq, zqb = (zb, z) if right_sided else (z, zb)
+        fk = []
+        for cs in pairs:
+            p = q = 0j
+            for c1, c2 in cs:
+                p, q = p * z + c1, q * zq + c2
+            fk.append((p, q))
+        out = []
+        for plan in plans:
+            p = q = 0j
+            for k, weight in plan:
+                p, q = p * zb + weight * fk[k][0], q * zqb + weight * fk[k][1]
+            out.append((p, q))
+        return out
+
+    return values
 
 
 class CirclePath:
@@ -73,10 +149,6 @@ def _require_inside(q: Quaternion, path: CirclePath) -> Quaternion:
     if abs(q) >= path.rho:
         raise OutsideContour(f"|q| = {abs(q)} is not inside radius {path.rho}")
     return q
-
-
-def _reduce(terms: list[Quaternion], scale: float) -> Quaternion:
-    return Quaternion(*(math.fsum(getattr(t, c) for t in terms) * scale for c in "wxyz"))
 
 
 def _contour_sum(path: CirclePath, left: Callable, right: Callable, scale: float) -> Quaternion:

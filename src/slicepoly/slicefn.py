@@ -4,10 +4,8 @@ A slice regular (finite) series is ``f(q) = sum_m q^m a_m`` with right
 quaternion coefficients.  A slice polyanalytic function of order n is an
 ordered list ``(f_0, ..., f_{n-1})`` of such series representing
 ``f(q) = sum_k conj(q)^k f_k(q)``; the decomposition is unique, and this
-module recovers it from a raw polynomial expansion, restricts functions to a
-complex slice split over an orthogonal frame of units, takes
-slice Cauchy-Riemann derivatives in closed form, and exposes the Appell ladder
-of conjugate powers.
+module recovers it from a raw polynomial expansion, takes slice Cauchy-Riemann
+derivatives in closed form, and exposes the Appell ladder of conjugate powers.
 
 A function's expansion and its operator images are computed on its stem and
 expanded once.  With q = x0 + v and s = |v|^2 = -v^2, each function is A(x0, s) +
@@ -18,16 +16,13 @@ v B(x0, s) (R. Ghiloni and A. Perotti, Adv. Math. 226, 2011).  The stem is the d
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
 from typing import Callable, Sequence
 
 from . import qpoly
-from .errors import NotDivisible, NotInClass, NotOrthogonal
+from .errors import NotDivisible, NotInClass
 from .qpoly import QPoly
-from .quat import E1, Quaternion, UnitImaginary, ZERO, quatf
+from .quat import Quaternion, ZERO, quatf
 
 
 def _horner(coeffs: Sequence[Quaternion], q: Quaternion, right_coeffs: bool) -> Quaternion:
@@ -176,9 +171,10 @@ class SlicePolyFn:
         if op == "c_n":
             for c in comps:
                 c._refuse()
-            qpoly._refuse_degree(max(k + max(c.degree - 2, 0) for k, c in enumerate(comps)))
+            qpoly._refuse_degree(max((k + c.degree - 2 for k, c in enumerate(comps) if c.degree > 1),
+                                     default=0))
             return qpoly._expand_stem(qpoly._merge(
-                ((part, i + k, j), c) for k, comp in enumerate(comps)
+                ((part, i + k, j), c) for k, comp in enumerate(comps) if comp.degree > 1
                 for (part, i, j), c in _laplacian_terms(_stem([comp]))))
         n = self.order if order is None else order
         stem = self._checked_stem(rise=op in ("G", "V") or op == "tau" and n > 1)
@@ -187,10 +183,6 @@ class SlicePolyFn:
         terms = _laplacian_terms(stem) if op in ("laplacian", "tau") \
             else _first_order_terms(stem, *_FIRST_ORDER[op])
         return qpoly._expand_stem(qpoly._merge(terms))
-
-    def fueter_image(self) -> QPoly:
-        """laplacian o V^(order-1) of the expansion: a Fueter regular polynomial."""
-        return self.image("tau")
 
     def _checked_stem(self, rise: bool = False) -> dict:
         """The stem, after the refusals of expand and, if ``rise``, of an image a degree higher."""
@@ -272,25 +264,29 @@ def _laplacian_terms(stem: dict):
 def decompose(p: QPoly, n: int) -> SlicePolyFn:
     """Recover the unique components of an order-n slice polyanalytic expansion.
 
-    Reads them off the slice of e1: there q = z = x0 + e1 x1 commutes with e1,
-    and 2 x0 = z + conj z, 2 x1 = (z - conj z)(-e1) turn the terms with
-    a2 = a3 = 0 into sum_{k,m} conj(z)^k z^m a_m of f_k.  One slice fixes a
-    function of the class (the identity principle), so p is in the order-n
-    class exactly when its components below n expand back to it.  Returns the
-    minimal order; raises NotInClass when p is outside the class.
+    Reads them off the slice of e1, where q = z = x0 + e1 x1 commutes with e1.  There
+    x0^a x1^b c = 2^-(a+b) (z + conj z)^a (z - conj z)^b (-e1)^b c, in which conj(z)^k z^(a+b-k)
+    weighs _binomial_row(b, a)[k], the stem's table read the other way, so the terms with
+    a2 = a3 = 0 give sum_{k,m} conj(z)^k z^m a_m of f_k.  One slice fixes a function of the
+    class (the identity principle), so p is in the order-n class exactly when its components
+    below n expand back to it.  Returns the minimal order; raises NotInClass outside the class.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     if n > 1:
         qpoly._refuse_degree(p.degree + 1)  # as the first G of V^(n-1) would
     top = max(p.degree, 0)
-    # z and conj z are the formal variables x0 and x1; 2 x0 and 2 x1 have integer coefficients
-    sums = list(accumulate([qpoly.X0 + qpoly.X1] * top, mul, initial=QPoly.one()))
-    diffs = list(accumulate([(qpoly.X0 - qpoly.X1) * -E1] * top, mul, initial=QPoly.one()))
-    read = qpoly.qsum(sums[a] * diffs[b] * c for (a, b, a2, a3), c in p.terms() if a2 == a3 == 0)
+    cells = {}  # (k, m) -> 2^(k+m) a_m of f_k
+    for (a, b, a2, a3), c in p.terms():
+        if a2 == a3 == 0:
+            w, x, y, z = qpoly._coef(c)
+            for _ in range(b % 4):  # (-e1) c = (x, -w, z, -y)
+                w, x, y, z = x, -w, z, -y
+            qpoly._merge((((k, a + b - k), (t * w, t * x, t * y, t * z))
+                          for k, t in enumerate(qpoly._binomial_row(b, a)) if t), cells)
     grid = [[ZERO] * (top + 1) for _ in range(top + 1)]  # grid[k][m] is a_m of f_k
-    for (m, k, _, _), c in read.terms():
-        grid[k][m] = c * Fraction(1, 2 ** (k + m))
+    for (k, m), c in cells.items():
+        grid[k][m] = Quaternion._new(*c) * Fraction(1, 2 ** (k + m))
     fn = SlicePolyFn([SliceRegularSeries(row) for row in grid[:n]])
     if fn.expand() == p:
         return fn.trim()
@@ -300,82 +296,6 @@ def decompose(p: QPoly, n: int) -> SlicePolyFn:
     except NotDivisible as exc:
         raise NotInClass(f"normalized global operator does not extend at level {n - 1}") from exc
     raise NotInClass("polynomial is not the expansion of a slice regular series")
-
-
-# -- slice restriction and splitting -------------------------------------------
-
-
-def _dot4(a: Quaternion, b: Quaternion) -> float:
-    return a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
-
-
-def canonical_perp(i: UnitImaginary) -> UnitImaginary:
-    """A deterministic unit orthogonal to i: normalize i x e1, falling back to i x e2."""
-    u = i.to_float().u
-    vx, vy, vz = 0.0, u.z, -u.y          # cross(vec(i), e1)
-    if vy * vy + vz * vz < 1e-12:
-        vx, vy, vz = -u.z, 0.0, u.x      # cross(vec(i), e2)
-    return UnitImaginary.from_vector(vx, vy, vz)
-
-
-def split_frame(i: UnitImaginary, j: UnitImaginary) -> tuple[Quaternion, Quaternion, Quaternion]:
-    """Float units (i, j, k = ij) of a splitting; NotOrthogonal unless i and j anticommute."""
-    i, j = i.to_float(), j.to_float()
-    if not abs(i.u * j.u + j.u * i.u) <= 1e-12:
-        raise NotOrthogonal("the chosen units do not anticommute")
-    return i.u, j.u, (i.u * j.u).vec()
-
-
-def split_coeff(a: Quaternion, frame: tuple) -> tuple[complex, complex]:
-    """The pair (c1, c2) with a = c1 + c2 j and c1, c2 on the slice of i, as complex numbers."""
-    av = a.to_float()
-    iu, ju, ku = frame
-    return complex(av.w, _dot4(av, iu)), complex(_dot4(av, ju), _dot4(av, ku))
-
-
-def _finite(value, what: str) -> float:
-    """float(value), or ValueError when it lies beyond the float range."""
-    if not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{what} is beyond the float range")
-    return float(value)
-
-
-def restrict(f: SlicePolyFn | RightSlicePolyFn, frame: tuple, js) -> Callable[[complex], list]:
-    """values(z) -> [(P_j, Q_j) for j in js] with CR^j f = P_j + Q_j J at z on the slice of I.
-
-    The one place that splits a left or right function's coefficients: over a
-    split_frame triple (I, J, IJ), a = c1 + c2 J with c1, c2 on the slice of I,
-    as complex numbers via 1 -> 1, I -> i.  CR^j f = sum_{k>=j} k!/(k-j)!
-    conj(z)^(k-j) (F_k(z) + G_k(z) J) by Horner sums; for a right function
-    J z^m = conj(z)^m J swaps z and conj(z) in G_k and in its power factor.
-    Weights beyond the float range raise ValueError.
-    """
-    right_sided = isinstance(f, RightSlicePolyFn)
-    comps = f.components if right_sided else [c.coeffs for c in f.components]
-    pairs = [tuple(split_coeff(a, frame) for a in reversed(cs)) for cs in comps]
-    while pairs and not pairs[-1]:
-        pairs.pop()
-    plans = [[(k, _finite(math.perm(k, j), "a derivative weight k!/(k-j)!") if pairs[k] else 0.0)
-              for k in range(len(pairs) - 1, j - 1, -1)] for j in js]
-
-    def values(z: complex) -> list:
-        zb = z.conjugate()
-        zq, zqb = (zb, z) if right_sided else (z, zb)
-        fk = []
-        for cs in pairs:
-            p = q = 0j
-            for c1, c2 in cs:
-                p, q = p * z + c1, q * zq + c2
-            fk.append((p, q))
-        out = []
-        for plan in plans:
-            p = q = 0j
-            for k, weight in plan:
-                p, q = p * zb + weight * fk[k][0], q * zqb + weight * fk[k][1]
-            out.append((p, q))
-        return out
-
-    return values
 
 
 # -- slice Cauchy-Riemann derivatives ---------------------------------------------

@@ -363,10 +363,12 @@ class TestWorkBounds:
         for spec in (Q65_SPEC, full, late):
             for op in ("G", "V", "D", "Dbar", "laplacian", "tau", "c_n"):
                 assert run_cli(capsys, "apply", op, spec) == (2, CAP_ERROR)
-        # the images of G, V and V^(n-1) would reach degree 65; c_n multiplies by x0^65
-        for argv in (("G", Q64_SPEC), ("V", Q64_SPEC), ("tau", Q64_SPEC, "--order", "2"),
-                     ("c_n", json.dumps({"order": DEGREE_CAP + 2, "components": [[1]]}))):
+        # the images of G, V and V^(n-1) would reach degree 65
+        for argv in (("G", Q64_SPEC), ("V", Q64_SPEC), ("tau", Q64_SPEC, "--order", "2")):
             assert run_cli(capsys, "apply", *argv) == (2, CAP_ERROR)
+        # a constant's Laplacian is zero, so c_n never reaches x0^65: the answer is 0
+        const = json.dumps({"order": DEGREE_CAP + 2, "components": [[1]]})
+        assert run_cli(capsys, "apply", "c_n", const) == (0, '{"terms": []}\n')
 
     def test_raw_polynomial_above_the_cap(self, capsys, monkeypatch):
         _budget(monkeypatch, QPoly, "__mul__", 0)

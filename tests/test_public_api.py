@@ -1,4 +1,5 @@
-"""The package's public surface: no caller-less names, and the README example runs.
+"""The package's public surface: no caller-less names, few private names read across
+modules, and the README example runs.
 
 The census parses ``src/slicepoly/*.py`` (not ``__init__.py``, which re-exports
 everything) and collects the public top-level functions and classes, the public
@@ -11,6 +12,11 @@ it wraps in strings.  Docstrings never count.  The uncalled names must equal
 
 Methods match by bare name, so a dead method that shares its name with a live
 one goes unseen; the census never flags a live name.
+
+The second census collects, over the same modules, each private name that one
+module takes from a sibling: ``from .m import _x``, or ``m._x`` where ``m`` came
+from ``from . import m``.  A class attribute such as ``Quaternion._new`` does not
+count.  The ``(user, owner, name)`` triples must equal ``PRIVATE_ALLOWED``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,16 @@ ALLOWED = {
     "Q_POLY": "the square-and-multiply reference for expand_q_power",
     "U1": "used by the tests; the README example imports it",
     "U2": "used by the tests",
+}
+
+_STEM = "the stem: qpoly builds and expands stems, slicefn applies the operator rules"
+
+#: (user, owner, private name) read across modules, each with its reason
+PRIVATE_ALLOWED = {
+    ("kernels", "quat", "_hamilton"): "the one tuple Hamilton product",
+    ("qpoly", "quat", "_hamilton"): "the one tuple Hamilton product",
+    **{("slicefn", "qpoly", name): _STEM for name in (
+        "_binomial_row", "_coef", "_expand_stem", "_merge", "_power_stem", "_refuse_degree")},
 }
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -95,6 +111,34 @@ def test_every_public_name_has_a_caller():
     assert uncalled == set(ALLOWED), (
         f"caller-less: {sorted(uncalled - set(ALLOWED))}; "
         f"stale allowlist entries: {sorted(set(ALLOWED) - uncalled)}")
+
+
+def cross_module_private_names() -> set[tuple[str, str, str]]:
+    paths = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules = {p.stem for p in paths}
+    found = set()
+    for path in paths:
+        user, siblings = path.stem, {}
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in modules:
+                        siblings[alias.asname or alias.name] = alias.name
+                    elif node.module in modules and not _public(alias.name):
+                        found.add((user, node.module, alias.name))
+        for node in nodes:
+            if (isinstance(node, ast.Attribute) and not _public(node.attr)
+                    and isinstance(node.value, ast.Name) and node.value.id in siblings):
+                found.add((user, siblings[node.value.id], node.attr))
+    return found
+
+
+def test_private_names_stay_home():
+    found = cross_module_private_names()
+    assert found == set(PRIVATE_ALLOWED), (
+        f"unlisted: {sorted(found - set(PRIVATE_ALLOWED))}; "
+        f"stale allowlist entries: {sorted(set(PRIVATE_ALLOWED) - found)}")
 
 
 def test_readme_library_example_runs():

@@ -249,6 +249,10 @@ class TestCn:
     def test_constants_vanish(self):
         assert c_n([QPoly.one(), QPoly.one()]).is_zero()
 
+    def test_zero_laplacian_builds_no_power(self):
+        # x0^65 is above the cap, but its factor laplacian(0) is zero
+        assert c_n([QPoly.one()] + [QPoly.zero()] * 65).is_zero()
+
 
 class TestPolyFueterDecomposition:
     def test_constant(self):

@@ -1,10 +1,15 @@
+import contextlib
+import io
+import json
 import math
 import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from slicepoly import kernels, qpoly, quad, verify
+from slicepoly.cli import main
 from slicepoly.errors import OnSingularSphere, OrderMismatch, OutsideContour
 from slicepoly.oracle import fd_cauchy_fueter
 from slicepoly.quad import (
@@ -260,8 +265,8 @@ class TestOrderingSensitivity:
         assert abs(good - ref) <= 1e-10
 
         deriv = slice_cr_derivative(f.to_float(), 0)
-        terms = [kernels.f_j(w, q, 0) * deriv(w) * dw for w, dw in PATH.nodes()]
-        swapped = quad._reduce(terms, 0.5 / math.pi)
+        swapped = verify._node_sum(PATH, 0.5 / math.pi,
+                                   lambda w, dw: kernels.f_j(w, q, 0) * deriv(w) * dw)
         assert abs(swapped - ref) > 1e-3
 
 
@@ -355,3 +360,48 @@ class TestFormulationsCheck:
         monkeypatch.setattr(quad, "_contour_sum", _unconjugated_sum)
         check = formulations()
         assert not check.passed and check.max_error > 1e-3
+
+
+_ints = st.integers(-3, 3)
+_quats = st.builds(Quaternion, _ints, _ints, _ints, _ints)
+_coords = st.integers(-290, 290).map(lambda n: n / 1000)  # |q| <= 0.58
+
+
+def _integrate(kind, spec, q, unit, n) -> float:
+    """abs_deviation of the in-process ``slicepoly integrate``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["integrate", kind, json.dumps(spec), json.dumps(q.to_json()),
+                     f"--unit={','.join(map(str, unit))}", f"--nodes={n}"])
+    assert code == 0
+    return json.loads(out.getvalue())["abs_deviation"]
+
+
+class TestFloatRange:
+    """Scaling f by 2^e scales every integral by 2^e bit for bit, for e in [-900, 900].
+
+    Below that, partial node terms turn subnormal and the last bits move.  The CLI's
+    abs_deviation agrees within 4 ulps, since float abs switches between the sum of
+    squares and hypot across the range."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(_quats, max_size=5), min_size=1, max_size=3),
+           st.integers(-900, 900), st.sampled_from([16, 64, 512]),
+           st.tuples(_coords, _coords, _coords, _coords),
+           st.tuples(_ints, _ints, _ints).filter(any))
+    @example([[Quaternion(1, -2, 3, 0)] * 5] * 3, -900, 512, (0.29, -0.29, 0.29, -0.29), (1, 0, 0))
+    @example([[Quaternion(0, 0, 1, 0)]] * 2, 900, 16, (0.0, 0.0, 0.0, 0.0), (0, 0, 1))
+    def test_scaling_is_exact(self, comps, e, n, point, vector):
+        f = SlicePolyFn([S(c) for c in comps])
+        g = RightSlicePolyFn(comps[::-1])
+        scaled = SlicePolyFn([c.to_float().scale(2.0**e) for c in f.components])
+        q, unit = quatf(*point), UnitImaginary.from_vector(*vector)
+        path = CirclePath(unit, 1.0, n)
+        for integral in (poly_cauchy_eval, fueter_integral, fueter_integral_explicit):
+            assert integral(scaled, q, path) == integral(f, q, path) * 2.0**e
+        assert cauchy_theorem_residual(scaled, g, path) == \
+            cauchy_theorem_residual(f, g, path) * 2.0**e
+        for kind in ("cauchy", "fueter"):
+            want = _integrate(kind, f.to_json(), q, vector, n) * 2.0**e
+            got = _integrate(kind, scaled.to_json(), q, vector, n)
+            assert abs(got - want) <= 4 * sys.float_info.epsilon * want

@@ -15,14 +15,12 @@ from slicepoly.slicefn import (
     SliceRegularSeries,
     appell_apply,
     appell_check,
-    canonical_perp,
     decompose,
-    restrict,
     right_cr_derivative,
     slice_cr_derivative,
-    split_frame,
     _horner,
 )
+from slicepoly.quad import canonical_perp, restrict, split_frame
 
 from helpers import (
     embed_complex,
@@ -148,6 +146,18 @@ class TestDecompose:
         p = expand_qbar_power(3)
         with pytest.raises(NotInClass):
             decompose(p, 2)
+
+    def test_no_ring_products(self, monkeypatch):
+        # the slice is read through the binomial table; the certificate expands on stems
+        f = fn([ONE, E2, ZERO, E1], [E1, ONE], [ZERO, E2, ONE])
+        p, off = f.expand(), f.expand() + QPoly.variable(2)
+        mul, calls = QPoly.__mul__, []
+        monkeypatch.setattr(QPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        assert decompose(p, 3) == f
+        for q, n in ((p, 2), (off, 3)):
+            with pytest.raises(NotInClass):
+                decompose(q, n)
+        assert calls == []
 
 
 _scalars = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
@@ -508,7 +518,7 @@ class TestMaps:
         rng = random.Random(47)
         for _ in range(15):
             f = rand_slicefn(rng, rng.randint(1, 4), 5)
-            assert qpoly.cauchy_fueter(f.fueter_image()).is_zero()
+            assert qpoly.cauchy_fueter(f.image("tau")).is_zero()
 
     def test_poly_fueter_image_order(self):
         rng = random.Random(53)
@@ -524,4 +534,4 @@ class TestMaps:
             lhs = f.image("c_n")
             for _ in range(n - 1):
                 lhs = qpoly.cauchy_fueter(lhs)
-            assert lhs == f.fueter_image() * Fraction(1, 2 ** (n - 1))
+            assert lhs == f.image("tau") * Fraction(1, 2 ** (n - 1))
