@@ -356,11 +356,11 @@ def _binomial_row(k: int, m: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _power_stem(k: int, m: int) -> tuple:
-    """conj(q)^k q^m = sum_t c_t x0^(k+m-t) v^t, c_t = _binomial_row(k, m)[t], as a stem."""
+    """The stem of conj(q)^k q^m = sum_t c_t x0^(k+m-t) v^t as ((part, i, j), w) pairs, w != 0."""
     if k < 0 or m < 0:
         raise ValueError("power must be nonnegative")
     _refuse_degree(k + m)
-    return tuple(((t % 2, k + m - t, t // 2), -w if t & 2 else w)
+    return tuple(((t % 2, k + m - t, t // 2), -w if t & 2 else w)  # v^2 = -s
                  for t, w in enumerate(_binomial_row(k, m)) if w)
 
 

@@ -166,15 +166,15 @@ class SlicePolyFn:
     def image(self, op: str, order: int | None = None) -> QPoly:
         """G, V, D, Dbar, laplacian, tau = laplacian o V^(n-1) (n ``order`` or the declared order)
         or c_n = sum_k x0^k laplacian(f_k) of the expansion, on the stem.  Each is refused where
-        qpoly refuses that image of the expansion (c_n: also x0^k above the cap)."""
+        qpoly refuses that image of the expansion (c_n: also x0^k laplacian(f_k) above the cap)."""
         comps = self._components
         if op == "c_n":
             for c in comps:
                 c._refuse()
-            qpoly._refuse_degree(max((k + c.degree - 2 for k, c in enumerate(comps) if c.degree > 1),
-                                     default=0))
+            live = [(k, c) for k, c in enumerate(comps) if c.degree > 1]  # nonzero Laplacians
+            qpoly._refuse_degree(max((k + c.degree - 2 for k, c in live), default=0))
             return qpoly._expand_stem(qpoly._merge(
-                ((part, i + k, j), c) for k, comp in enumerate(comps) if comp.degree > 1
+                ((part, i + k, j), c) for k, comp in live
                 for (part, i, j), c in _laplacian_terms(_stem([comp]))))
         n = self.order if order is None else order
         stem = self._checked_stem(rise=op in ("G", "V") or op == "tau" and n > 1)
