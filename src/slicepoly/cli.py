@@ -5,8 +5,8 @@ function spec is ``{"order": n, "components": [[coef, ...], ...]}`` with
 quaternion coefficients as 4-arrays (exact scalars as "p/q" strings, plain
 numbers for reals); a raw polynomial spec is ``{"terms": [...]}``.
 
-Exit codes: 0 success, 1 input error, 2 domain or class error.  Identical
-flags and seed produce byte-identical output.
+Exit codes: 0 success, 1 input error, 2 domain or class error, 3 a verify
+check failed.  Identical flags and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -233,9 +233,6 @@ def main(argv=None) -> int:
             print(f"error: {payload['error']}: {payload['message']}")
             if remainder is not None:
                 print(f"remainder: {remainder}")
-        return 2
-    except ZeroDivisionError as exc:
-        print(json.dumps({"error": "ZeroDivision", "message": str(exc)}, sort_keys=True))
         return 2
     except (ValueError, TypeError, KeyError, OverflowError, json.JSONDecodeError) as exc:
         print(f"slicepoly: input error: {exc}", file=sys.stderr)

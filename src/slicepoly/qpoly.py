@@ -13,8 +13,13 @@ conjugate (imaginary units multiply derivatives from the left), the global
 operator ``G = |vec|^2 d/dx0 + vec * sum x_l d/dx_l``, its normalization
 ``V = G / |vec|^2`` realized as exact division, its powers ``V^k``, the
 iterated map ``tau_n = laplacian o V^(n-1)``, and the componentwise map
-``c_n = sum x0^k laplacian(f_k)``.  ``_expand_stem`` expands a stem (see
-slicefn) once: ``q^n``, ``conj(q)^k`` and every function of the class are built so.
+``c_n = sum x0^k laplacian(f_k)``.
+
+A slice function ``sum_k conj(q)^k f_k`` is ``A(x0, s) + v B(x0, s)`` with ``q = x0 + v``,
+``s = |v|^2`` (Ghiloni and Perotti, Adv. Math. 226, 2011); its stem is the dict
+``{(part, i, j): c}`` of ``x0^i s^j c`` (part 0) and ``v x0^i s^j c`` (part 1).
+``function_image`` builds it, applies an operator as a rule on the ``(i, j)`` grid
+and expands it once, as for ``q^n``; ``slice_cells`` reads it back off a slice.
 
 The Laplacian, both Cauchy-Fueter operators and ``G`` are single sweeps over
 the term dict: each term ``x^a c`` emits its image terms into one dict, and
@@ -385,10 +390,21 @@ def _expand_stem(stem: Mapping[tuple, Coef]) -> QPoly:
     return _wrap(out)
 
 
+def _stem(cells: Iterable[tuple]) -> dict:
+    """The stem of sum conj(q)^k q^m c over the cells (k, m, c), c a nonzero coefficient tuple."""
+    return _merge((key, (n * w, n * x, n * y, n * z)) for k, m, (w, x, y, z) in cells
+                  for key, n in _power_stem(k, m))
+
+
+def _cells(components: Sequence[Sequence[Quaternion]]):
+    """The cells (k, m, a_m) of sum_k conj(q)^k f_k, f_k = sum_m q^m a_m; zero a_m give none."""
+    return ((k, m, _coef(a)) for k, comp in enumerate(components)
+            for m, a in enumerate(comp) if not a.is_zero())
+
+
 def _power_sum(weights: Iterable[tuple[int, int, int]]) -> QPoly:
     """sum w conj(q)^k q^m over the nonzero integer weights (k, m, w), built on the stem."""
-    return _expand_stem(_merge((key, (w * c, 0, 0, 0)) for k, m, w in weights
-                               for key, c in _power_stem(k, m)))
+    return _expand_stem(_stem((k, m, (w, 0, 0, 0)) for k, m, w in weights))
 
 
 @lru_cache(maxsize=None)
@@ -642,3 +658,80 @@ def dirac_power_closed_form(n: int) -> QPoly:
 def laplacian_power_closed_form(n: int) -> QPoly:
     """-4 sum_{k=1..n-1} (n-k) q^(n-k-1) conj(q)^(k-1): the Laplacian of q^n (n >= 2)."""
     return _power_sum((k - 1, n - k - 1, -4 * (n - k)) for k in range(1, n))
+
+
+# -- slice functions on their stems ------------------------------------------------------
+
+# (sign, base, shift): V, G = s V, D and Dbar as one first-order rule (see _first_order_stem)
+_FIRST_ORDER = {"V": (1, 1, 0), "G": (1, 1, 1), "D": (1, 3, 0), "Dbar": (-1, 3, 0)}
+
+
+def _first_order_stem(stem: dict, sign: int, base: int, shift: int):
+    """Rule (sign, base, shift): x0^i s^j c gives i c at (0, i-1, j) and 2j sign c at (1, i, j-1),
+    v x0^i s^j c gives -sign (base + 2j) c at (0, i, j) and i c at (1, i-1, j); j rises by shift."""
+    for (part, i, j), (w, x, y, z) in stem.items():
+        if i:
+            yield (part, i - 1, j + shift), (i * w, i * x, i * y, i * z)
+        if part:
+            n = -sign * (base + 2 * j)
+            yield (0, i, j + shift), (n * w, n * x, n * y, n * z)
+        elif j:
+            n = 2 * j * sign
+            yield (1, i, j - 1 + shift), (n * w, n * x, n * y, n * z)
+
+
+def _laplacian_stem(stem: dict):
+    """i(i-1) c at i-2, and 2j(2j+1) c (part 0) or 2j(2j+3) c (part 1) at j-1."""
+    for (part, i, j), (w, x, y, z) in stem.items():
+        if i > 1:
+            n = i * (i - 1)
+            yield (part, i - 2, j), (n * w, n * x, n * y, n * z)
+        if j:
+            n = 2 * j * (2 * j + 1 + 2 * part)
+            yield (part, i, j - 1), (n * w, n * x, n * y, n * z)
+
+
+def function_image(components: Sequence[Sequence[Quaternion]], op: str | None = None,
+                   order: int = 1) -> QPoly:
+    """The expansion of sum_k conj(q)^k f_k, f_k = sum_m q^m a_m with the a_m in ``components[k]``
+    (trimmed), or its image under ``op``: G, V, D, Dbar, laplacian, tau = laplacian o V^(order-1)
+    or c_n = sum_k x0^k laplacian(f_k), on the stem, expanded once.  Refusals come first: the
+    expansion and c_n refuse each component (TypeError if float, then its degree), then the
+    expansion's degree or each x0^k laplacian(f_k); the other images refuse the expansion's degree,
+    a float component, then (G, V, tau of order 2 or more) an image one degree higher."""
+    degree = max((k + len(c) - 1 for k, c in enumerate(components) if c), default=0)
+    if op not in (None, "c_n"):
+        _refuse_degree(degree)
+    for c in components:
+        if c and not c[0].is_exact:
+            raise TypeError("only exact series expand to polynomials")
+        _refuse_degree(len(c) - 1)
+    if op == "c_n":
+        live = [(k, c) for k, c in enumerate(components) if len(c) > 2]  # nonzero Laplacians
+        _refuse_degree(max((k + len(c) - 3 for k, c in live), default=0))
+        return _expand_stem(_merge(((part, i + k, j), c) for k, comp in live
+                                   for (part, i, j), c in _laplacian_stem(_stem(_cells([comp])))))
+    _refuse_degree(degree + (op in ("G", "V") or op == "tau" and order > 1))
+    stem = _stem(_cells(components))
+    if op is None:
+        return _expand_stem(stem)
+    while op == "tau" and order > 1 and stem:  # V^(order-1), which ends once the stem is empty
+        stem, order = _merge(_first_order_stem(stem, *_FIRST_ORDER["V"])), order - 1
+    terms = _laplacian_stem(stem) if op in ("laplacian", "tau") \
+        else _first_order_stem(stem, *_FIRST_ORDER[op])
+    return _expand_stem(_merge(terms))
+
+
+def slice_cells(p: QPoly) -> dict:
+    """{(k, m): a_m of f_k} off the slice of e1, if p = sum_k conj(q)^k f_k.  There z = x0 + e1 x1
+    commutes with e1, and x0^a x1^b c = 2^-(a+b) (z + conj z)^a (z - conj z)^b (-e1)^b c weighs
+    conj(z)^k z^(a+b-k) by _binomial_row(b, a)[k], the stem's table read the other way."""
+    cells = {}  # (k, m) -> 2^(k+m) a_m of f_k
+    for key, (w, x, y, z) in p._terms.items():
+        if not key & 16383:  # a2 = a3 = 0
+            a, b = key >> 21 & 127, key >> 14 & 127
+            for _ in range(b % 4):  # (-e1) c = (x, -w, z, -y)
+                w, x, y, z = x, -w, z, -y
+            _merge((((k, a + b - k), (t * w, t * x, t * y, t * z))
+                    for k, t in enumerate(_binomial_row(b, a)) if t), cells)
+    return {(k, m): Quaternion._new(*c) * Fraction(1, 2 ** (k + m)) for (k, m), c in cells.items()}

@@ -33,6 +33,8 @@ from .slicefn import RightSlicePolyFn, SlicePolyFn
 #: accepted node counts: MIN_NODES <= N <= MAX_NODES
 MIN_NODES = 4
 MAX_NODES = 2**20
+#: restrict scales split parts above 2^PRESCALE down to it, once per integral
+PRESCALE = 512
 
 
 # -- slice restriction and splitting -------------------------------------------
@@ -81,13 +83,20 @@ def restrict(f: SlicePolyFn | RightSlicePolyFn, frame: tuple, js) -> Callable[[c
     as complex numbers via 1 -> 1, I -> i.  CR^j f = sum_{k>=j} k!/(k-j)!
     conj(z)^(k-j) (F_k(z) + G_k(z) J) by Horner sums; for a right function
     J z^m = conj(z)^m J swaps z and conj(z) in G_k and in its power factor.
-    Weights beyond the float range raise ValueError.
+    Weights beyond the float range raise ValueError.  If a part exceeds 2^PRESCALE, every part
+    is scaled by 2^-e so that none does, and ``values.shift`` is e (else 0): the values are
+    then exactly those of 2^-e f, and the integral scales its result back by 2^e.
     """
     right_sided = isinstance(f, RightSlicePolyFn)
     comps = f.components if right_sided else [c.coeffs for c in f.components]
     pairs = [tuple(split_coeff(a, frame) for a in reversed(cs)) for cs in comps]
     while pairs and not pairs[-1]:
         pairs.pop()
+    top = max((abs(v) for cs in pairs for c in cs for p in c for v in (p.real, p.imag)), default=0.0)
+    shift = max(math.frexp(top)[1] - PRESCALE, 0)
+    if shift:
+        s = 2.0 ** -shift
+        pairs = [tuple(tuple(complex(p.real * s, p.imag * s) for p in c) for c in cs) for cs in pairs]
     plans = [[(k, _finite(math.perm(k, j), "a derivative weight k!/(k-j)!") if pairs[k] else 0.0)
               for k in range(len(pairs) - 1, j - 1, -1)] for j in js]
 
@@ -108,6 +117,7 @@ def restrict(f: SlicePolyFn | RightSlicePolyFn, frame: tuple, js) -> Callable[[c
             out.append((p, q))
         return out
 
+    values.shift = shift
     return values
 
 
@@ -151,8 +161,9 @@ def _require_inside(q: Quaternion, path: CirclePath) -> Quaternion:
     return q
 
 
-def _contour_sum(path: CirclePath, left: Callable, right: Callable, scale: float) -> Quaternion:
-    """scale * sum over nodes of left(z) dz right(z), dz = z dtheta.
+def _contour_sum(path: CirclePath, left: Callable, right: Callable, scale: float,
+                 shift: int) -> Quaternion:
+    """2^shift scale * sum over nodes of left(z) dz right(z), dz = z dtheta.
 
     left(z), right(z): equally long lists of complex pairs (a, b) for a + b J;
     (a + b J) dz (p + q J) = [a dz p - b conj(dz q)] + [a dz q + b conj(dz p)] J.
@@ -170,6 +181,7 @@ def _contour_sum(path: CirclePath, left: Callable, right: Callable, scale: float
         raise ValueError("the integral is beyond the float range") from None
     iu, ju, ku = path._frame
     out = (quatf(r1) + iu * i1 + ju * r2 + ku * i2) * (scale * 2.0 * math.pi / path.n)
+    out = out * 2.0 ** (shift // 2) * 2.0 ** (shift - shift // 2)  # each factor at most 2^512
     _finite(sum(map(abs, (out.w, out.x, out.y, out.z))), "the integral")
     return out
 
@@ -179,11 +191,16 @@ def _kernel_left(q: Quaternion, path: CirclePath, const: float, power: int) -> C
     c1, c2 = split_coeff(q.conjugate(), path._frame)
     q0, norm2, qv = q.w, q.norm_sq(), math.sqrt(q.vec_norm_sq())
 
+    def node(z: complex) -> Quaternion:
+        return quatf(z.real) + path.unit.u * z.imag
+
     def left(z: complex) -> tuple:
         if abs(q0 - z.real) + abs(qv - abs(z.imag)) < kernels.SINGULAR_GUARD:
-            w = quatf(z.real) + path.unit.u * z.imag
-            raise OnSingularSphere(f"q={q} lies on the singular sphere of s={w}")
-        inv = 1.0 / (z * z - z * (2.0 * q0) + norm2)
+            raise OnSingularSphere(f"q={q} lies on the singular sphere of s={node(z)}")
+        try:
+            inv = 1.0 / (z * z - z * (2.0 * q0) + norm2)
+        except ZeroDivisionError:  # D cancels to 0 in rounding, at a scale far above the guard
+            raise OnSingularSphere(f"D(s, q) rounds to 0 at s={node(z)} for q={q}") from None
         kappa = const * inv if power == 1 else const * inv * inv
         return ((z - c1) * kappa, -c2 * kappa.conjugate()),
 
@@ -207,7 +224,7 @@ def poly_cauchy_eval(f: SlicePolyFn, q: Quaternion, path: CirclePath) -> Quatern
             p, r, e = p + e * pj, r + e * qj, e * t / (j + 1)
         return ((p, r),)
 
-    return _contour_sum(path, _kernel_left(q, path, 1.0, 1), right, 0.5 / math.pi)
+    return _contour_sum(path, _kernel_left(q, path, 1.0, 1), right, 0.5 / math.pi, derivs.shift)
 
 
 def fueter_integral(f: SlicePolyFn, q: Quaternion, path: CirclePath) -> Quaternion:
@@ -219,7 +236,7 @@ def fueter_integral(f: SlicePolyFn, q: Quaternion, path: CirclePath) -> Quaterni
     q = _require_inside(q, path)
     scale = _finite(2 ** (f.order - 1), "the order prefactor") / (2.0 * math.pi)
     top = restrict(f, path._frame, (f.order - 1,))
-    return _contour_sum(path, _kernel_left(q, path, -4.0, 2), top, scale)
+    return _contour_sum(path, _kernel_left(q, path, -4.0, 2), top, scale, top.shift)
 
 
 def fueter_integral_explicit(f: SlicePolyFn, q: Quaternion, path: CirclePath) -> Quaternion:
@@ -249,7 +266,8 @@ def cauchy_theorem_residual(
     def left(z: complex) -> list:
         return [(a, b) if j % 2 == 0 else (-a, -b) for j, (a, b) in enumerate(rder(z))]
 
-    return _contour_sum(path, left, restrict(f, path._frame, range(n)), 1.0)
+    fder = restrict(f, path._frame, range(n))
+    return _contour_sum(path, left, fder, 1.0, rder.shift + fder.shift)
 
 
 def unit_independence_check(

@@ -7,10 +7,8 @@ ordered list ``(f_0, ..., f_{n-1})`` of such series representing
 module recovers it from a raw polynomial expansion, takes slice Cauchy-Riemann
 derivatives in closed form, and exposes the Appell ladder of conjugate powers.
 
-A function's expansion and its operator images are computed on its stem and
-expanded once.  With q = x0 + v and s = |v|^2 = -v^2, each function is A(x0, s) +
-v B(x0, s) (R. Ghiloni and A. Perotti, Adv. Math. 226, 2011).  The stem is the dict
-{(part, i, j): c} of x0^i s^j c (part 0) and v x0^i s^j c (part 1), c on the right.
+A function's expansion and its operator images are computed on its stem by
+``qpoly.function_image``, which holds the stem format.
 """
 
 from __future__ import annotations
@@ -85,14 +83,7 @@ class SliceRegularSeries:
 
     def expand(self) -> QPoly:
         """Exact polynomial expansion sum_m (q^m as QPoly) a_m, built from the stem."""
-        self._refuse()
-        return qpoly._expand_stem(_stem([self]))
-
-    def _refuse(self) -> None:
-        """The refusals of expand: TypeError for a float series, DegreeCapExceeded above the cap."""
-        if not self.is_exact:
-            raise TypeError("only exact series expand to polynomials")
-        qpoly._refuse_degree(self.degree)
+        return qpoly.function_image([self._coeffs])
 
     def scale(self, s) -> "SliceRegularSeries":
         """Multiply every coefficient by a real scalar."""
@@ -161,38 +152,13 @@ class SlicePolyFn:
 
     def expand(self) -> QPoly:
         """Exact expansion sum_k conj(q)^k f_k as a polynomial in x0..x3, built from the stem."""
-        return qpoly._expand_stem(self._checked_stem())
+        return qpoly.function_image([c._coeffs for c in self._components])
 
     def image(self, op: str, order: int | None = None) -> QPoly:
         """G, V, D, Dbar, laplacian, tau = laplacian o V^(n-1) (n ``order`` or the declared order)
-        or c_n = sum_k x0^k laplacian(f_k) of the expansion, on the stem.  Each is refused where
-        qpoly refuses that image of the expansion (c_n: also x0^k laplacian(f_k) above the cap)."""
-        comps = self._components
-        if op == "c_n":
-            for c in comps:
-                c._refuse()
-            live = [(k, c) for k, c in enumerate(comps) if c.degree > 1]  # nonzero Laplacians
-            qpoly._refuse_degree(max((k + c.degree - 2 for k, c in live), default=0))
-            return qpoly._expand_stem(qpoly._merge(
-                ((part, i + k, j), c) for k, comp in live
-                for (part, i, j), c in _laplacian_terms(_stem([comp]))))
-        n = self.order if order is None else order
-        stem = self._checked_stem(rise=op in ("G", "V") or op == "tau" and n > 1)
-        while op == "tau" and n > 1 and stem:  # V^(n-1), which ends once the stem is empty
-            stem, n = qpoly._merge(_first_order_terms(stem, *_FIRST_ORDER["V"])), n - 1
-        terms = _laplacian_terms(stem) if op in ("laplacian", "tau") \
-            else _first_order_terms(stem, *_FIRST_ORDER[op])
-        return qpoly._expand_stem(qpoly._merge(terms))
-
-    def _checked_stem(self, rise: bool = False) -> dict:
-        """The stem, after the refusals of expand and, if ``rise``, of an image a degree higher."""
-        degree = max(k + c.degree for k, c in enumerate(self._components))
-        qpoly._refuse_degree(degree)
-        for c in self._components:
-            c._refuse()
-        if rise:
-            qpoly._refuse_degree(degree + 1)
-        return _stem(self._components)
+        or c_n = sum_k x0^k laplacian(f_k) of the expansion, on the stem (qpoly.function_image)."""
+        return qpoly.function_image([c._coeffs for c in self._components], op,
+                                    self.order if order is None else order)
 
     def to_float(self) -> "SlicePolyFn":
         return SlicePolyFn([c.to_float() for c in self._components])
@@ -224,50 +190,10 @@ def _parse_fn_json(data) -> list[SliceRegularSeries]:
     return comps
 
 
-# -- stems ----------------------------------------------------------------------------
-
-_FIRST_ORDER = {"V": (1, 1, 0), "G": (1, 1, 1), "D": (1, 3, 0), "Dbar": (-1, 3, 0)}
-
-
-def _stem(comps: Sequence[SliceRegularSeries]) -> dict:
-    """sum_k conj(q)^k f_k over exact components as a stem; zero coefficients add no entry."""
-    return qpoly._merge((key, (n * w, n * x, n * y, n * z)) for k, comp in enumerate(comps)
-                        for m, a in enumerate(comp._coeffs) if not a.is_zero()
-                        for (w, x, y, z) in [qpoly._coef(a)] for key, n in qpoly._power_stem(k, m))
-
-
-def _first_order_terms(stem: dict, sign: int, base: int, shift: int):
-    """Rule (sign, base, shift): x0^i s^j c gives i c at (0, i-1, j) and 2j sign c at (1, i, j-1),
-    v x0^i s^j c gives -sign (base + 2j) c at (0, i, j) and i c at (1, i-1, j); j rises by shift."""
-    for (part, i, j), (w, x, y, z) in stem.items():
-        if i:
-            yield (part, i - 1, j + shift), (i * w, i * x, i * y, i * z)
-        if part:
-            n = -sign * (base + 2 * j)
-            yield (0, i, j + shift), (n * w, n * x, n * y, n * z)
-        elif j:
-            n = 2 * j * sign
-            yield (1, i, j - 1 + shift), (n * w, n * x, n * y, n * z)
-
-
-def _laplacian_terms(stem: dict):
-    """i(i-1) c at i-2, and 2j(2j+1) c (part 0) or 2j(2j+3) c (part 1) at j-1."""
-    for (part, i, j), (w, x, y, z) in stem.items():
-        if i > 1:
-            n = i * (i - 1)
-            yield (part, i - 2, j), (n * w, n * x, n * y, n * z)
-        if j:
-            n = 2 * j * (2 * j + 1 + 2 * part)
-            yield (part, i, j - 1), (n * w, n * x, n * y, n * z)
-
-
 def decompose(p: QPoly, n: int) -> SlicePolyFn:
     """Recover the unique components of an order-n slice polyanalytic expansion.
 
-    Reads them off the slice of e1, where q = z = x0 + e1 x1 commutes with e1.  There
-    x0^a x1^b c = 2^-(a+b) (z + conj z)^a (z - conj z)^b (-e1)^b c, in which conj(z)^k z^(a+b-k)
-    weighs _binomial_row(b, a)[k], the stem's table read the other way, so the terms with
-    a2 = a3 = 0 give sum_{k,m} conj(z)^k z^m a_m of f_k.  One slice fixes a function of the
+    Reads them off the slice of e1 (qpoly.slice_cells).  One slice fixes a function of the
     class (the identity principle), so p is in the order-n class exactly when its components
     below n expand back to it.  Returns the minimal order; raises NotInClass outside the class.
     """
@@ -276,17 +202,9 @@ def decompose(p: QPoly, n: int) -> SlicePolyFn:
     if n > 1:
         qpoly._refuse_degree(p.degree + 1)  # as the first G of V^(n-1) would
     top = max(p.degree, 0)
-    cells = {}  # (k, m) -> 2^(k+m) a_m of f_k
-    for (a, b, a2, a3), c in p.terms():
-        if a2 == a3 == 0:
-            w, x, y, z = qpoly._coef(c)
-            for _ in range(b % 4):  # (-e1) c = (x, -w, z, -y)
-                w, x, y, z = x, -w, z, -y
-            qpoly._merge((((k, a + b - k), (t * w, t * x, t * y, t * z))
-                          for k, t in enumerate(qpoly._binomial_row(b, a)) if t), cells)
     grid = [[ZERO] * (top + 1) for _ in range(top + 1)]  # grid[k][m] is a_m of f_k
-    for (k, m), c in cells.items():
-        grid[k][m] = Quaternion._new(*c) * Fraction(1, 2 ** (k + m))
+    for (k, m), a in qpoly.slice_cells(p).items():
+        grid[k][m] = a
     fn = SlicePolyFn([SliceRegularSeries(row) for row in grid[:n]])
     if fn.expand() == p:
         return fn.trim()

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slicepoly import kernels, qpoly, slicefn, verify
+from slicepoly import kernels, qpoly, verify
 from slicepoly.cli import main
 from slicepoly.qpoly import DEGREE_CAP, QPoly
 from slicepoly.quat import quatf
@@ -310,17 +310,46 @@ class TestIntegrateBoundary:
             assert run_cli(capsys, "apply", "V", spec) == (1, "")
 
     def test_overflow_in_the_contour_sum_is_named(self, capsys):
-        # near the float maximum the node sums overflow (cauchy, fueter) or the
+        # near the float maximum the answers leave the float range (cauchy, fueter) or the
         # node terms are infinite before they are summed (residual)
         big = "[8.98846567431158e+307,0,0,0]"
         qbar = '{"order":2,"components":[[0],[%s]]}' % big
         qbar_qsq = '{"order":2,"components":[[0],[0,0,%s]]}' % big
-        for argv in (("cauchy", qbar, "[0.25,0.25,0,0]"), ("fueter", qbar_qsq, "[0.25,0.25,0,0]"),
-                     ("residual", qbar, "--right-spec", qbar)):
+        # an order-12 node sum near -8e307 whose prefactor 2^11 / 512 = 4 overflows it
+        late = json.dumps({"order": 12, "components": [[]] * 11 + [[0, 0, [1e297, 0, 0, 0]]]})
+        for argv in (("cauchy", qbar, "[3,0,0,0]", "--radius", "4"),
+                     ("fueter", qbar_qsq, "[0.25,0.25,0,0]"), ("fueter", late, "[0.1,0,0,0]"),
+                     ("residual", qbar, "--right-spec", qbar, "--radius", "2")):
             assert main(["integrate", *argv]) == 1
             out, err = capsys.readouterr()
             assert out == ""
             assert err == "slicepoly: input error: the integral is beyond the float range\n"
+
+    def test_huge_coefficients_whose_answer_fits(self, capsys):
+        # unscaled, the node terms of both overflow; the answers are near -8e306 and 2.2e307
+        spec = '{"order":2,"components":[[0],[0,0,[1e306,0,0,0]]]}'
+        code, out = run_cli(capsys, "integrate", "fueter", spec, "[0.9,0,0,0]")
+        assert code == 0
+        assert json.loads(out)["value"] == [-8.000000000000082e306, -3.097956746429284e291, 0.0, 0.0]
+        qbar = '{"order":2,"components":[[0],[[8.98846567431158e+307,0,0,0]]]}'
+        code, out = run_cli(capsys, "integrate", "cauchy", qbar, "[0.25,0.25,0,0]")
+        assert code == 0
+        assert json.loads(out)["value"] == [2.2471164185778954e307, -2.247116418577895e307, 0.0, 0.0]
+
+    def test_kernel_denominator_that_rounds_to_zero(self, capsys):
+        # the node s = 1e10 is 100 from the sphere of q, but D(s, q) cancels to exactly 0
+        code, out = run_cli(capsys, "integrate", "cauchy", '{"order":1,"components":[[1]]}',
+                            "[9999999900.0,0,0,0]", "--radius", "1e10", "--nodes", "4")
+        assert code == 2
+        assert out == ('{"error": "OnSingularSphere", "message": "D(s, q) rounds to 0 at '
+                       's=(10000000000.0, 0.0, 0.0, 0.0) for q=(9999999900.0, 0.0, 0.0, 0.0)"}\n')
+
+    def test_missing_point_and_short_unit(self, capsys):
+        for argv, message in ((("cauchy", QBAR_SPEC), "cauchy integration needs a point argument"),
+                              (("cauchy", QBAR_SPEC, "[0.1,0,0,0]", "--unit=1,2"),
+                               "--unit expects three comma-separated numbers X,Y,Z")):
+            assert main(["integrate", *argv]) == 1
+            assert capsys.readouterr() == ("", f"slicepoly: input error: {message}\n")
 
 
 CONST_POLY_SPEC = '{"terms":[{"exp":[0,0,0,0],"coef":[1,0,0,0]}]}'
@@ -357,7 +386,7 @@ class TestWorkBounds:
 
     def test_degree_cap_refused_before_expansion(self, capsys, monkeypatch):
         _budget(monkeypatch, QPoly, "__mul__", 0)
-        _budget(monkeypatch, slicefn, "_stem", 0)
+        _budget(monkeypatch, qpoly, "_stem", 0)
         full = json.dumps({"order": 1, "components": [[1] * (DEGREE_CAP + 2)]})
         late = json.dumps({"order": 60, "components": [[]] * 59 + [[0] * 10 + [1]]})
         for spec in (Q65_SPEC, full, late):

@@ -55,6 +55,11 @@ class TestSInv:
         # symmetric representative on the same sphere, different unit
         with pytest.raises(OnSingularSphere):
             s_inv(quatf(0.3, 0.0, 0.4), quatf(0.3, 0.4))
+        # gaps of about 2e-9 and 5e-10 to the sphere, on either side of SINGULAR_GUARD
+        s = quatf(0.5, 0.5)
+        assert math.isfinite(abs(s_inv(s, quatf(0.5 + 2e-9, 0.0, 0.5))))
+        with pytest.raises(OnSingularSphere):
+            s_inv(s, quatf(0.5 + 5e-10, 0.0, 0.5))
 
     def test_rejects_exact_backend(self):
         with pytest.raises(TypeError):

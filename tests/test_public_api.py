@@ -1,5 +1,6 @@
 """The package's public surface: no caller-less names, few private names read across
-modules, and the README example runs.
+modules, the README example runs, and the README and ``slicepoly --help`` list the same
+exit codes.
 
 The census parses ``src/slicepoly/*.py`` (not ``__init__.py``, which re-exports
 everything) and collects the public top-level functions and classes, the public
@@ -37,14 +38,12 @@ ALLOWED = {
     "U2": "used by the tests",
 }
 
-_STEM = "the stem: qpoly builds and expands stems, slicefn applies the operator rules"
-
 #: (user, owner, private name) read across modules, each with its reason
 PRIVATE_ALLOWED = {
     ("kernels", "quat", "_hamilton"): "the one tuple Hamilton product",
     ("qpoly", "quat", "_hamilton"): "the one tuple Hamilton product",
-    **{("slicefn", "qpoly", name): _STEM for name in (
-        "_binomial_row", "_coef", "_expand_stem", "_merge", "_power_stem", "_refuse_degree")},
+    ("slicefn", "qpoly", "_refuse_degree"):
+        "decompose refuses the degree of the first G of V^(n-1) before it reads the slice",
 }
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -139,6 +138,19 @@ def test_private_names_stay_home():
     assert found == set(PRIVATE_ALLOWED), (
         f"unlisted: {sorted(found - set(PRIVATE_ALLOWED))}; "
         f"stale allowlist entries: {sorted(set(PRIVATE_ALLOWED) - found)}")
+
+
+def _exit_codes(text: str) -> list[str]:
+    """The codes listed in the paragraph that starts at "Exit codes:", in order."""
+    paragraph = text.split("Exit codes:", 1)[1].split("\n\n", 1)[0].replace("`", "")
+    return re.findall(r"(?<![\w.])(\d)(?=\s)", paragraph)
+
+
+def test_exit_codes_documented_alike():
+    from slicepoly import cli
+
+    readme = (ROOT / "README.md").read_text()
+    assert _exit_codes(cli.__doc__) == _exit_codes(readme) == ["0", "1", "2", "3"]
 
 
 def test_readme_library_example_runs():

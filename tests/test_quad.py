@@ -304,6 +304,11 @@ class TestSliceComplexRoute:
         for integral in self.KERNEL_INTEGRALS.values():
             with pytest.raises(OnSingularSphere):
                 integral(f, q, PATH)
+        # that node is about 2e-9 from the sphere of the first point, 5e-10 from the second's
+        path = CirclePath(U1, 1.0, 4)
+        assert math.isfinite(abs(poly_cauchy_eval(f, quatf(0.0, 1.0 - 2e-9), path)))
+        with pytest.raises(OnSingularSphere):
+            poly_cauchy_eval(f, quatf(0.0, 1.0 - 5e-10), path)
 
     def test_rejects_non_finite_point(self):
         for q in (quatf(math.nan), quatf(0.1, math.inf), quatf(0.0, 0.0, -math.inf)):
@@ -336,8 +341,9 @@ class TestSliceComplexRoute:
             assert integral(f, quatf(0.1, 0.2), PATH).is_zero()
 
 
-def _unconjugated_sum(path, left, right, scale):
+def _unconjugated_sum(path, left, right, scale, shift):
     """quad._contour_sum with J c = conj(c) J dropped from the node sandwich."""
+    assert shift == 0  # the suite's coefficients are far below quad.PRESCALE
     s1, s2 = [], []
     for z in path._z:
         for (a, b), (p, q) in zip(left(z), right(z)):

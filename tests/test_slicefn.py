@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slicepoly import qpoly, slicefn
+from slicepoly import qpoly
 from slicepoly.errors import DegreeCapExceeded, NotInClass, NotOrthogonal
 from slicepoly.qpoly import QPoly, expand_q_power, expand_qbar_power, global_v
 from slicepoly.quat import E1, E2, ONE, Quaternion, U1, U2, UnitImaginary, ZERO, quatf
@@ -68,13 +68,14 @@ class TestExpand:
     def test_zero_coefficients_skipped(self):
         # q^3 = x0^3 + 3 v x0^2 - 3 x0 s - v s: the zeros below E2 add no stem entry
         f = S([ZERO, ZERO, ZERO, E2])
-        assert slicefn._stem([f]) == {(0, 3, 0): (0, 0, 1, 0), (1, 2, 0): (0, 0, 3, 0),
-                                      (0, 1, 1): (0, 0, -3, 0), (1, 0, 1): (0, 0, -1, 0)}
+        assert qpoly._stem(qpoly._cells([f.coeffs])) == {
+            (0, 3, 0): (0, 0, 1, 0), (1, 2, 0): (0, 0, 3, 0),
+            (0, 1, 1): (0, 0, -3, 0), (1, 0, 1): (0, 0, -1, 0)}
         assert f.expand() == expand_q_power(3) * E2
 
     def test_degree_cap_before_any_power(self, monkeypatch):
         stems = []
-        monkeypatch.setattr(slicefn, "_stem", lambda comps: stems.append(comps))
+        monkeypatch.setattr(qpoly, "_stem", lambda cells: stems.append(cells))
         with pytest.raises(DegreeCapExceeded):
             S([ONE] * (qpoly.DEGREE_CAP + 2)).expand()
         with pytest.raises(DegreeCapExceeded):
@@ -319,6 +320,9 @@ class TestRestrict:
         skew = UnitImaginary.from_vector(1.0, 1.0, 0.0)
         with pytest.raises(NotOrthogonal):
             split_frame(U1, skew)
+        # i j + j i = -2 <i, j> is about -1e-6 here
+        with pytest.raises(NotOrthogonal):
+            split_frame(U1, UnitImaginary.from_vector(5e-7, 1.0, 0.0))
 
     def test_canonical_perp_always_orthogonal(self):
         rng = random.Random(19)
