@@ -51,6 +51,7 @@ def _parse_unit(text: str) -> UnitImaginary:
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
+    """The one stdout writer: the payload as canonical JSON, or the text lines."""
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -223,16 +224,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except SlicePolyError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
+        lines = [f"error: {payload['error']}: {payload['message']}"]
         remainder = getattr(exc, "remainder", None)
         if remainder is not None:
             payload["remainder"] = remainder.to_json()
-        fmt = getattr(args, "format", "json")
-        if fmt == "json":
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(f"error: {payload['error']}: {payload['message']}")
-            if remainder is not None:
-                print(f"remainder: {remainder}")
+            lines.append(f"remainder: {remainder}")
+        _emit(payload, args.format, lines)
         return 2
     except (ValueError, TypeError, KeyError, OverflowError, json.JSONDecodeError) as exc:
         print(f"slicepoly: input error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
+from fractions import Fraction
 from typing import Callable
 
 from . import kernels
@@ -33,8 +33,8 @@ from .slicefn import RightSlicePolyFn, SlicePolyFn
 #: accepted node counts: MIN_NODES <= N <= MAX_NODES
 MIN_NODES = 4
 MAX_NODES = 2**20
-#: restrict scales split parts above 2^PRESCALE down to it, once per integral
-PRESCALE = 512
+#: restrict scales split parts above 2^PRESCALE down to it; the residual multiplies two such sides
+PRESCALE = 256
 
 
 # -- slice restriction and splitting -------------------------------------------
@@ -68,13 +68,6 @@ def split_coeff(a: Quaternion, frame: tuple) -> tuple[complex, complex]:
     return complex(av.w, _dot4(av, iu)), complex(_dot4(av, ju), _dot4(av, ku))
 
 
-def _finite(value, what: str) -> float:
-    """float(value), or ValueError when it lies beyond the float range."""
-    if not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{what} is beyond the float range")
-    return float(value)
-
-
 def restrict(f: SlicePolyFn | RightSlicePolyFn, frame: tuple, js) -> Callable[[complex], list]:
     """values(z) -> [(P_j, Q_j) for j in js] with CR^j f = P_j + Q_j J at z on the slice of I.
 
@@ -85,7 +78,7 @@ def restrict(f: SlicePolyFn | RightSlicePolyFn, frame: tuple, js) -> Callable[[c
     J z^m = conj(z)^m J swaps z and conj(z) in G_k and in its power factor.
     Weights beyond the float range raise ValueError.  If a part exceeds 2^PRESCALE, every part
     is scaled by 2^-e so that none does, and ``values.shift`` is e (else 0): the values are
-    then exactly those of 2^-e f, and the integral scales its result back by 2^e.
+    then exactly those of 2^-e f, and the integral adds e to the exponent of _contour_sum.
     """
     right_sided = isinstance(f, RightSlicePolyFn)
     comps = f.components if right_sided else [c.coeffs for c in f.components]
@@ -97,8 +90,11 @@ def restrict(f: SlicePolyFn | RightSlicePolyFn, frame: tuple, js) -> Callable[[c
     if shift:
         s = 2.0 ** -shift
         pairs = [tuple(tuple(complex(p.real * s, p.imag * s) for p in c) for c in cs) for cs in pairs]
-    plans = [[(k, _finite(math.perm(k, j), "a derivative weight k!/(k-j)!") if pairs[k] else 0.0)
-              for k in range(len(pairs) - 1, j - 1, -1)] for j in js]
+    try:
+        plans = [[(k, float(math.perm(k, j)) if pairs[k] else 0.0)
+                  for k in range(len(pairs) - 1, j - 1, -1)] for j in js]
+    except OverflowError:
+        raise ValueError("a derivative weight k!/(k-j)! is beyond the float range") from None
 
     def values(z: complex) -> list:
         zb = z.conjugate()
@@ -162,11 +158,13 @@ def _require_inside(q: Quaternion, path: CirclePath) -> Quaternion:
 
 
 def _contour_sum(path: CirclePath, left: Callable, right: Callable, scale: float,
-                 shift: int) -> Quaternion:
-    """2^shift scale * sum over nodes of left(z) dz right(z), dz = z dtheta.
+                 exp: int) -> Quaternion:
+    """2^exp scale * sum over nodes of left(z) dz right(z), dz = z dtheta.
 
     left(z), right(z): equally long lists of complex pairs (a, b) for a + b J;
     (a + b J) dz (p + q J) = [a dz p - b conj(dz q)] + [a dz q + b conj(dz p)] J.
+    exp carries every power of two (prescale shifts, the Fueter prefactor): each component is
+    the exact product c k 2^exp rounded once, and ValueError refuses one beyond the float range.
     """
     s1, s2 = [], []
     for z in path._z:
@@ -175,15 +173,15 @@ def _contour_sum(path: CirclePath, left: Callable, right: Callable, scale: float
             s1.append(a * u - b * v.conjugate())
             s2.append(a * v + b * u.conjugate())
     parts = (operator.attrgetter("real"), operator.attrgetter("imag"))
+    iu, ju, ku = path._frame
     try:
         r1, i1, r2, i2 = (math.fsum(map(part, s)) for s in (s1, s2) for part in parts)
-    except (OverflowError, ValueError):  # a partial sum overflows, or node terms are +-inf
+        out = quatf(r1) + iu * i1 + ju * r2 + ku * i2
+        k = Fraction(scale * 2.0 * math.pi / path.n) * 2**exp  # exact: float() rounds once
+        return quatf(*(math.copysign(float(Fraction(c) * k), c)  # copysign keeps a -0.0
+                       for c in (out.w, out.x, out.y, out.z)))
+    except (OverflowError, ValueError):  # a partial sum or a component leaves the float range
         raise ValueError("the integral is beyond the float range") from None
-    iu, ju, ku = path._frame
-    out = (quatf(r1) + iu * i1 + ju * r2 + ku * i2) * (scale * 2.0 * math.pi / path.n)
-    out = out * 2.0 ** (shift // 2) * 2.0 ** (shift - shift // 2)  # each factor at most 2^512
-    _finite(sum(map(abs, (out.w, out.x, out.y, out.z))), "the integral")
-    return out
 
 
 def _kernel_left(q: Quaternion, path: CirclePath, const: float, power: int) -> Callable:
@@ -231,12 +229,13 @@ def fueter_integral(f: SlicePolyFn, q: Quaternion, path: CirclePath) -> Quaterni
     """Integral form of the order-n Fueter map: matches tau_n of the expansion.
 
     Quadrature of (2^(n-1) / 2 pi) [laplacian s_inv](w, q) dw_I
-    (d/d conj z)^(n-1) f(w), where laplacian s_inv = -4 (w - conj q) D^(-2).
+    (d/d conj z)^(n-1) f(w), where laplacian s_inv = -4 (w - conj q) D^(-2), with 2^(n-1)
+    in the exponent of _contour_sum.
     """
     q = _require_inside(q, path)
-    scale = _finite(2 ** (f.order - 1), "the order prefactor") / (2.0 * math.pi)
     top = restrict(f, path._frame, (f.order - 1,))
-    return _contour_sum(path, _kernel_left(q, path, -4.0, 2), top, scale, top.shift)
+    return _contour_sum(path, _kernel_left(q, path, -4.0, 2), top, 0.5 / math.pi,
+                        top.shift + f.order - 1)
 
 
 def fueter_integral_explicit(f: SlicePolyFn, q: Quaternion, path: CirclePath) -> Quaternion:

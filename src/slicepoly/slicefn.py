@@ -58,10 +58,6 @@ class SliceRegularSeries:
     def coeffs(self) -> tuple[Quaternion, ...]:
         return self._coeffs
 
-    @property
-    def degree(self):
-        return len(self._coeffs) - 1 if self._coeffs else float("-inf")
-
     def is_zero(self) -> bool:
         return not self._coeffs
 
@@ -75,7 +71,7 @@ class SliceRegularSeries:
         return self._coeffs == other._coeffs
 
     def __repr__(self) -> str:
-        return f"SliceRegularSeries(degree={self.degree})"
+        return f"SliceRegularSeries(degree={len(self._coeffs) - 1 if self._coeffs else '-inf'})"
 
     def evaluate(self, q: Quaternion) -> Quaternion:
         """Horner evaluation; a float point converts coefficients on the fly."""
@@ -135,9 +131,6 @@ class SlicePolyFn:
 
     def __repr__(self) -> str:
         return f"SlicePolyFn(order={self.order})"
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self._components)
 
     def trim(self) -> "SlicePolyFn":
         """Drop trailing zero components down to the minimal order (at least 1)."""

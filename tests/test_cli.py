@@ -79,6 +79,16 @@ class TestApply:
         code, out = run_cli(capsys, "apply", "V", QBAR_SPEC, "--format", "text")
         assert code == 0 and out.strip() == "1*(2, 0, 0, 0)"
 
+    def test_text_format_errors(self, capsys):
+        # the error payload leaves through the same writer as a result, in either format
+        assert run_cli(capsys, "apply", "V", X1_POLY_SPEC, "--format", "text") == (2, (
+            "error: NotDivisible: polynomial is not divisible by the squared vector norm\n"
+            "remainder: x3^2*(0, -1, 0, 0) + x2^2*(0, -1, 0, 0) + x1^1*x3^1*(0, 0, 0, 1)"
+            " + x1^1*x2^1*(0, 0, 1, 0)\n"))
+        assert run_cli(capsys, "integrate", "cauchy", '{"order":1,"components":[[1]]}',
+                       "[2,0,0,0]", "--format", "text") == (
+            2, "error: OutsideContour: |q| = 2.0 is not inside radius 1.0\n")
+
     def test_boolean_exponent_exits_one(self, capsys):
         spec = '{"terms":[{"exp":[true,2,0,0],"coef":[1,0,0,0]}]}'
         assert run_cli(capsys, "apply", "laplacian", spec) == (1, "")
@@ -281,9 +291,11 @@ class TestIntegrateBoundary:
                                   "--unit=nan,0,1") == 1
 
     def test_order_beyond_float_range(self, capsys):
-        # 2^(n-1) and the weights (n-1)!/(n-1-j)! leave the float range
+        # the weight 199! leaves the float range; the prefactor 2^1199 is only an
+        # exponent, applied to a top derivative that vanishes
         spec = json.dumps({"order": 1200, "components": [[1]]})
-        assert self.check_refused(capsys, "fueter", spec, "[0.1,0,0,0]") == 1
+        code, out = run_cli(capsys, "integrate", "fueter", spec, "[0.1,0,0,0]")
+        assert code == 0 and json.loads(out)["value"] == [0.0, 0.0, 0.0, 0.0]
         spec = json.dumps({"order": 200, "components": [[]] * 199 + [[1]]})
         assert self.check_refused(capsys, "cauchy", spec, "[0.1,0,0,0]") == 1
 
@@ -310,8 +322,8 @@ class TestIntegrateBoundary:
             assert run_cli(capsys, "apply", "V", spec) == (1, "")
 
     def test_overflow_in_the_contour_sum_is_named(self, capsys):
-        # near the float maximum the answers leave the float range (cauchy, fueter) or the
-        # node terms are infinite before they are summed (residual)
+        # near the float maximum the answers leave the float range: a component of
+        # cauchy and fueter, and the residual's rounding-level value times 6e600
         big = "[8.98846567431158e+307,0,0,0]"
         qbar = '{"order":2,"components":[[0],[%s]]}' % big
         qbar_qsq = '{"order":2,"components":[[0],[0,0,%s]]}' % big
@@ -319,7 +331,8 @@ class TestIntegrateBoundary:
         late = json.dumps({"order": 12, "components": [[]] * 11 + [[0, 0, [1e297, 0, 0, 0]]]})
         for argv in (("cauchy", qbar, "[3,0,0,0]", "--radius", "4"),
                      ("fueter", qbar_qsq, "[0.25,0.25,0,0]"), ("fueter", late, "[0.1,0,0,0]"),
-                     ("residual", qbar, "--right-spec", qbar, "--radius", "2")):
+                     ("residual", '{"order":1,"components":[[1e300,2e300]]}',
+                      "--right-spec", '{"order":1,"components":[[3e300,1e300]]}')):
             assert main(["integrate", *argv]) == 1
             out, err = capsys.readouterr()
             assert out == ""
@@ -335,6 +348,24 @@ class TestIntegrateBoundary:
         code, out = run_cli(capsys, "integrate", "cauchy", qbar, "[0.25,0.25,0,0]")
         assert code == 0
         assert json.loads(out)["value"] == [2.2471164185778954e307, -2.247116418577895e307, 0.0, 0.0]
+
+    def test_answers_that_fit_beside_huge_powers_of_two(self, capsys):
+        # each answer fits, though the sum of its |components| (cauchy), the prefactor 2^1024
+        # (fueter) and the product of the two sides, about 6e320 (residual), do not
+        code, out = run_cli(capsys, "integrate", "cauchy",
+                            '{"order":1,"components":[[[1e308,1e308,0,0]]]}', "[0.1,0,0,0]")
+        assert code == 0 and json.loads(out)["value"] == [1e308, 1e308, 0.0, 0.0]
+        code, out = run_cli(capsys, "integrate", "fueter",
+                            '{"order":1025,"components":[[1],[0,0,1]]}', "[0.2,0.1,0,0]")
+        assert code == 0 and json.loads(out)["value"] == [0.0, 0.0, 0.0, 0.0]
+        assert run_cli(capsys, "apply", "tau", '{"order":1025,"components":[[1],[0,0,1]]}') == \
+            (0, '{"terms": []}\n')
+        code, out = run_cli(capsys, "integrate", "residual",
+                            '{"order":1,"components":[[1e160,2e160]]}',
+                            "--right-spec", '{"order":1,"components":[[3e160,1e160]]}')
+        # the exact residual is 0; this is rounding, about eps * 6e320
+        assert code == 0
+        assert json.loads(out)["value"] == [-2.45399156150547e305, -3.6295721158834646e303, 0.0, 0.0]
 
     def test_kernel_denominator_that_rounds_to_zero(self, capsys):
         # the node s = 1e10 is 100 from the sphere of q, but D(s, q) cancels to exactly 0
