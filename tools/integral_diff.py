@@ -111,7 +111,7 @@ def main(argv=None) -> int:
     for key, rows in groups.items():
         by_kind = ", ".join(f"{k} {sum(c['kind'] == k for c, _, _ in rows)}" for k in kinds)
         refused = sum(new[0] == "refused" for _, _, new in rows)
-        print(f"{key:15s} {len(rows):6d}  ({by_kind}; {refused} refused by the change)")
+        print(f"{key:15s} {len(rows):6d}  ({by_kind}; {refused} of them refused with the change)")
     for key, rows in groups.items():
         for case, old, new in rows[:3] if key != "identical" else ():
             print(f"\n{key}: {json.dumps(case)}\n  parent: {old}\n  change: {new}")
