@@ -23,7 +23,7 @@ class NotDivisible(SlicePolyError):
     The offending remainder is kept on the ``remainder`` attribute; a nonzero
     remainder means the input is not the expansion of a slice polyanalytic
     function, i.e. the normalized global operator does not extend across the
-    real axis for it.
+    real axis for it.  Its degree may be DEGREE_CAP + 1: V divides an unchecked G image.
     """
 
     def __init__(self, remainder):

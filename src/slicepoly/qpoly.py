@@ -32,11 +32,13 @@ order of the terms.
 
 Each monomial is one int key with 7-bit fields ``d<<28 | a0<<21 | a1<<14 |
 a2<<7 | a3``, ``d`` the total degree.  No polynomial exceeds total degree
-``DEGREE_CAP`` = 64 < 128: the constructor refuses more, and products, powers
-and ``G`` refuse a larger image before any work.  So no field carries into the
-next: a product term's key is the sum of its factors' keys, and each operator
-moves keys by constant steps.  The low 28 bits order keys lexicographically by
-exponent, the canonical order of ``terms`` and ``to_json``.
+``DEGREE_CAP`` = 64 < 128: the constructor refuses more, products and powers
+refuse a larger result before any work, and a stem expansion and ``G`` refuse
+what they build; ``V`` divides an unchecked ``G`` image of degree at most 65.
+So no field carries into the next: a product term's key is the sum of its
+factors' keys, and each operator moves keys by constant steps.  The low 28 bits
+order keys lexicographically by exponent, the canonical order of ``terms`` and
+``to_json``.
 
 Values are immutable after construction and all operations are pure.
 """
@@ -292,7 +294,7 @@ def _wrap(terms: dict[int, Coef]) -> QPoly:
 
 
 def _refuse_degree(degree) -> None:
-    """DegreeCapExceeded for a result of total degree above DEGREE_CAP, before it is built."""
+    """DegreeCapExceeded for a polynomial of total degree above DEGREE_CAP."""
     if degree > DEGREE_CAP:
         raise DegreeCapExceeded(f"total degree exceeds cap {DEGREE_CAP}")
 
@@ -378,7 +380,9 @@ def _multinomial(j: int) -> tuple:
 
 def _expand_stem(stem: Mapping[tuple, Coef]) -> QPoly:
     """The polynomial of a stem: s^j by the multinomial theorem, v c = sum_l x_l (e_l c).  Part 0
-    gives even a1, a2, a3 and part 1 one odd one, so no two entries share a key."""
+    gives even a1, a2, a3 and part 1 one odd one, so no two entries share a key, and the degree
+    is the largest i + 2j + part, refused above DEGREE_CAP before any term is built."""
+    _refuse_degree(max((i + 2 * j + part for part, i, j in stem), default=0))
     out: dict[int, Coef] = {}
     for (part, i, j), (w, x, y, z) in stem.items():
         base = i * _E0
@@ -548,12 +552,12 @@ def global_g(p: QPoly) -> QPoly:
 
     One sweep: x^a c contributes a0 c at a - e0 + 2 e_l and, by Euler's
     identity for sum_l x_l d/dx_l, (a1 + a2 + a3)(e_l c) at a + e_l, for
-    l = 1, 2, 3.  The image of a nonconstant p of degree d may reach degree
-    d + 1, so that degree is refused above DEGREE_CAP before any work, as for
-    a product.
+    l = 1, 2, 3.  The image of p of degree d may reach degree d + 1; its true
+    degree is refused above DEGREE_CAP after the sweep.
     """
-    _refuse_degree(p.degree + 1)
-    return _wrap(_merge(_g_terms(p)))
+    g = _wrap(_merge(_g_terms(p)))
+    _refuse_degree(g.degree)
+    return g
 
 
 def divide_by_vecnorm_sq(p: QPoly) -> QPoly:
@@ -594,11 +598,11 @@ def divide_by_vecnorm_sq(p: QPoly) -> QPoly:
 def global_v(p: QPoly) -> QPoly:
     """Normalized global operator V = G / |vec q|^2.
 
-    Exact division realizes the continuous extension of V across the real
-    axis whenever that extension exists; NotDivisible signals that p is not
-    the expansion of a slice polyanalytic function.
+    Exact division of the G image, unchecked at degree DEGREE_CAP + 1 at most, realizes the
+    continuous extension of V across the real axis whenever that extension exists; NotDivisible
+    signals that p is not the expansion of a slice polyanalytic function.
     """
-    return divide_by_vecnorm_sq(global_g(p))
+    return divide_by_vecnorm_sq(_wrap(_merge(_g_terms(p))))
 
 
 def global_v_power(p: QPoly, k: int) -> QPoly:
@@ -695,23 +699,15 @@ def function_image(components: Sequence[Sequence[Quaternion]], op: str | None = 
                    order: int = 1) -> QPoly:
     """The expansion of sum_k conj(q)^k f_k, f_k = sum_m q^m a_m with the a_m in ``components[k]``
     (trimmed), or its image under ``op``: G, V, D, Dbar, laplacian, tau = laplacian o V^(order-1)
-    or c_n = sum_k x0^k laplacian(f_k), on the stem, expanded once.  Refusals come first: the
-    expansion and c_n refuse each component (TypeError if float, then its degree), then the
-    expansion's degree or each x0^k laplacian(f_k); the other images refuse the expansion's degree,
-    a float component, then (G, V, tau of order 2 or more) an image one degree higher."""
-    degree = max((k + len(c) - 1 for k, c in enumerate(components) if c), default=0)
-    if op not in (None, "c_n"):
-        _refuse_degree(degree)
+    or c_n = sum_k x0^k laplacian(f_k), on the stem, expanded once.  A float component raises
+    TypeError first; DegreeCapExceeded then refuses a term conj(q)^k q^m or an expanded result
+    above DEGREE_CAP."""
     for c in components:
         if c and not c[0].is_exact:
             raise TypeError("only exact series expand to polynomials")
-        _refuse_degree(len(c) - 1)
     if op == "c_n":
-        live = [(k, c) for k, c in enumerate(components) if len(c) > 2]  # nonzero Laplacians
-        _refuse_degree(max((k + len(c) - 3 for k, c in live), default=0))
-        return _expand_stem(_merge(((part, i + k, j), c) for k, comp in live
+        return _expand_stem(_merge(((part, i + k, j), c) for k, comp in enumerate(components)
                                    for (part, i, j), c in _laplacian_stem(_stem(_cells([comp])))))
-    _refuse_degree(degree + (op in ("G", "V") or op == "tau" and order > 1))
     stem = _stem(_cells(components))
     if op is None:
         return _expand_stem(stem)

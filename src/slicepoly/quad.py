@@ -76,13 +76,16 @@ def restrict(f: SlicePolyFn | RightSlicePolyFn, frame: tuple, js) -> Callable[[c
     as complex numbers via 1 -> 1, I -> i.  CR^j f = sum_{k>=j} k!/(k-j)!
     conj(z)^(k-j) (F_k(z) + G_k(z) J) by Horner sums; for a right function
     J z^m = conj(z)^m J swaps z and conj(z) in G_k and in its power factor.
+    Only the components that js reads (k >= min(js)) are split; the others stay ().
     Weights beyond the float range raise ValueError.  If a part exceeds 2^PRESCALE, every part
     is scaled by 2^-e so that none does, and ``values.shift`` is e (else 0): the values are
     then exactly those of 2^-e f, and the integral adds e to the exponent of _contour_sum.
     """
     right_sided = isinstance(f, RightSlicePolyFn)
     comps = f.components if right_sided else [c.coeffs for c in f.components]
-    pairs = [tuple(split_coeff(a, frame) for a in reversed(cs)) for cs in comps]
+    low = min(js)
+    pairs = [tuple(split_coeff(a, frame) for a in reversed(cs)) if k >= low else ()
+             for k, cs in enumerate(comps)]
     while pairs and not pairs[-1]:
         pairs.pop()
     top = max((abs(v) for cs in pairs for c in cs for p in c for v in (p.real, p.imag)), default=0.0)

@@ -189,11 +189,10 @@ def decompose(p: QPoly, n: int) -> SlicePolyFn:
     Reads them off the slice of e1 (qpoly.slice_cells).  One slice fixes a function of the
     class (the identity principle), so p is in the order-n class exactly when its components
     below n expand back to it.  Returns the minimal order; raises NotInClass outside the class.
+    Refuses no degree: V^(n-1), run only to name a failure, divides each G image unchecked.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    if n > 1:
-        qpoly._refuse_degree(p.degree + 1)  # as the first G of V^(n-1) would
     top = max(p.degree, 0)
     grid = [[ZERO] * (top + 1) for _ in range(top + 1)]  # grid[k][m] is a_m of f_k
     for (k, m), a in qpoly.slice_cells(p).items():

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -417,18 +418,23 @@ class TestWorkBounds:
 
     def test_degree_cap_refused_before_expansion(self, capsys, monkeypatch):
         _budget(monkeypatch, QPoly, "__mul__", 0)
-        _budget(monkeypatch, qpoly, "_stem", 0)
+        _budget(monkeypatch, qpoly, "_multinomial", 0)
         full = json.dumps({"order": 1, "components": [[1] * (DEGREE_CAP + 2)]})
         late = json.dumps({"order": 60, "components": [[]] * 59 + [[0] * 10 + [1]]})
         for spec in (Q65_SPEC, full, late):
             for op in ("G", "V", "D", "Dbar", "laplacian", "tau", "c_n"):
                 assert run_cli(capsys, "apply", op, spec) == (2, CAP_ERROR)
-        # the images of G, V and V^(n-1) would reach degree 65
-        for argv in (("G", Q64_SPEC), ("V", Q64_SPEC), ("tau", Q64_SPEC, "--order", "2")):
-            assert run_cli(capsys, "apply", *argv) == (2, CAP_ERROR)
         # a constant's Laplacian is zero, so c_n never reaches x0^65: the answer is 0
         const = json.dumps({"order": DEGREE_CAP + 2, "components": [[1]]})
         assert run_cli(capsys, "apply", "c_n", const) == (0, '{"terms": []}\n')
+
+    def test_float_spec_above_the_cap_is_an_input_error(self, capsys):
+        # the float check comes first for every operator, before any degree
+        spec = json.dumps({"order": 2, "components": [[0.5], [0] * DEGREE_CAP + [1]]})
+        for op in ("G", "V", "D", "Dbar", "laplacian", "tau", "c_n"):
+            assert main(["apply", op, spec]) == 1
+            assert capsys.readouterr() == \
+                ("", "slicepoly: input error: only exact series expand to polynomials\n")
 
     def test_raw_polynomial_above_the_cap(self, capsys, monkeypatch):
         _budget(monkeypatch, QPoly, "__mul__", 0)
@@ -443,6 +449,43 @@ class TestWorkBounds:
             assert run_cli(capsys, "integrate", "cauchy", QBAR_SPEC, coef) == (1, "")
         raw = '{"terms":[{"exp":[1,0,0,0],"coef":["0/0",0,0,0]}]}'
         assert run_cli(capsys, "apply", "laplacian", raw) == (1, "")
+
+
+#: conj(q) q^63, order 2 and degree 64; its raw expansion is built on first use
+QBAR_Q63_SPEC = json.dumps({"order": 2, "components": [[], [0] * 63 + [1]]})
+
+
+@functools.lru_cache(maxsize=None)
+def _raw_qbar_q63() -> str:
+    return json.dumps(SlicePolyFn.from_json(json.loads(QBAR_Q63_SPEC)).expand().to_json())
+
+
+class TestAtTheCap:
+    """An operator is refused only for the degree of what it builds: V, tau and c_n lower
+    the degree, and both routes print the same bytes."""
+
+    @pytest.mark.parametrize("op, degree", [("V", 63), ("tau", 61), ("c_n", 62)])
+    def test_both_routes_agree(self, capsys, op, degree):
+        code, out = run_cli(capsys, "apply", op, QBAR_Q63_SPEC)
+        assert code == 0
+        assert run_cli(capsys, "apply", op, _raw_qbar_q63(), "--order", "2") == (0, out)
+        assert QPoly.from_json(json.loads(out)).degree == degree
+
+    def test_g_image_above_the_cap(self, capsys):
+        for argv in (("G", QBAR_Q63_SPEC), ("G", _raw_qbar_q63())):
+            assert run_cli(capsys, "apply", *argv) == (2, CAP_ERROR)
+
+    def test_fueter_integral_at_the_cap(self, capsys):
+        assert run_cli(capsys, "integrate", "fueter", QBAR_Q63_SPEC, "[0.2,0.1,0,0]")[0] == 0
+
+    def test_v_remainder_one_degree_above_the_cap(self, capsys):
+        # G of x1^64 has degree 65 and is not divisible: the remainder keeps that degree
+        spec = json.dumps({"terms": [{"exp": [0, DEGREE_CAP, 0, 0], "coef": [1, 0, 0, 0]}]})
+        code, out = run_cli(capsys, "apply", "V", spec)
+        assert code == 2
+        data = json.loads(out)
+        assert data["error"] == "NotDivisible"
+        assert max(sum(t["exp"]) for t in data["remainder"]["terms"]) == DEGREE_CAP + 1
 
 
 F3 = ('{"order":3,"components":[[[1,"1/2",0,-2],[0,1,2,3],[0,0,0,0],[1,0,-1,0]],'
@@ -490,8 +533,9 @@ class TestApplyDigests:
          "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5"),
         (("tau", F3, "--order", "1"), 0,
          "4b616cbdb67106cb24b064927376511fc9930fbbc28115e370c2c0959a6dceae"),
-        # at the degree cap: G, V and tau of order 2 refuse, the others lower the degree
-        *((argv, 2, "cc0e310094e8990f33284f34c53ad464ce720848a4f407d5e56fa76d6e671943")
+        # at the degree cap: G, V and tau of order 2 of a slice regular function are 0,
+        # the others lower the degree
+        *((argv, 0, "ea97a715cd5e398754b498e82ff441f80562cc10c29547e3cb945d3b9800b7c5")
           for argv in (("G", Q64_SPEC), ("V", Q64_SPEC), ("tau", Q64_SPEC, "--order", "2"))),
         (("D", Q64_SPEC), 0, "cdce75af97b4c3d822949dad963b260697c18a995b6d7d906f09d08743c17965"),
         (("Dbar", Q64_SPEC), 0, "d92fba98fc29a9e107fe2b39737ea3864a78cf592487d547c85aa3fb1dfc0c4c"),

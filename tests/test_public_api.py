@@ -42,8 +42,6 @@ ALLOWED = {
 PRIVATE_ALLOWED = {
     ("kernels", "quat", "_hamilton"): "the one tuple Hamilton product",
     ("qpoly", "quat", "_hamilton"): "the one tuple Hamilton product",
-    ("slicefn", "qpoly", "_refuse_degree"):
-        "decompose refuses the degree of the first G of V^(n-1) before it reads the slice",
 }
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -20,7 +20,7 @@ from slicepoly.quad import (
     poly_cauchy_eval,
     unit_independence_check,
 )
-from slicepoly.quat import ONE, Quaternion, U1, UnitImaginary, ZERO, quatf
+from slicepoly.quat import E2, ONE, Quaternion, U1, UnitImaginary, ZERO, quatf
 from slicepoly.slicefn import (
     RightSlicePolyFn,
     SlicePolyFn,
@@ -156,6 +156,24 @@ class TestFueterIntegral:
             path = CirclePath(rand_unit(rng), 1.0, 512)
             # -1 * 2^n/pi = -4 * 2^(n-1)/(2 pi) exactly in binary64
             assert fueter_integral_explicit(f, q, path) == fueter_integral(f, q, path)
+
+    def test_reads_only_the_top_component(self):
+        # f_0..f_{n-2} never reach the integral: replacing them, even by 2^600, which would
+        # prescale a tiny top component into the subnormal range, moves no bit
+        rng = random.Random(109)
+        tiny = fn([], [ZERO, ZERO, quatf(0.0, 0.0, 1.1 * 2.0**-1000)])
+        cases = [(tiny, quatf(0.2, 0.1), CirclePath(U1, 1.0, 64))]
+        for _ in range(6):
+            f = rand_slicefn(rng, rng.randint(2, 4), 4)
+            cases.append((f, rand_point(rng, 0.0, 0.6), CirclePath(rand_unit(rng), 1.0, 64)))
+        for f, q, path in cases:
+            want = fueter_integral(f, q, path)
+            top = f.components[-1]
+            for low in (S(), S([quatf(2.0**600)]), S([ONE, E2, ONE])):
+                g = SlicePolyFn([low] * (f.order - 1) + [top])
+                assert fueter_integral(g, q, path) == want
+        assert fueter_integral(tiny, quatf(0.2, 0.1), CirclePath(U1, 1.0, 64)).approx_eq(
+            quatf(0.0, 0.0, -8 * 1.1 * 2.0**-1000), 1e-9 * 2.0**-1000)
 
     def test_explicit_on_constant(self):
         got = fueter_integral_explicit(fn([ONE]), quatf(0.2, 0.3), PATH)

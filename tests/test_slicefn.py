@@ -74,13 +74,14 @@ class TestExpand:
         assert f.expand() == expand_q_power(3) * E2
 
     def test_degree_cap_before_any_power(self, monkeypatch):
-        stems = []
-        monkeypatch.setattr(qpoly, "_stem", lambda cells: stems.append(cells))
+        # conj(q)^k q^m above the cap is refused while the stem is built, before it expands
+        expanded = []
+        monkeypatch.setattr(qpoly, "_expand_stem", lambda stem: expanded.append(stem))
         with pytest.raises(DegreeCapExceeded):
             S([ONE] * (qpoly.DEGREE_CAP + 2)).expand()
         with pytest.raises(DegreeCapExceeded):
             SlicePolyFn([S()] * qpoly.DEGREE_CAP + [S([ZERO, ONE])]).expand()
-        assert stems == []
+        assert expanded == []
 
     def test_series_expansion_in_global_kernel(self):
         rng = random.Random(5)
