@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import qpoly, quad
+from . import qpoly
 from .errors import SlicePolyError
 from .qpoly import QPoly
 from .quat import Quaternion, UnitImaginary
@@ -51,11 +51,11 @@ def _parse_unit(text: str) -> UnitImaginary:
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
-    """The one stdout writer: the payload as canonical JSON, or the text lines."""
+    """The one stdout writer: the payload as canonical JSON, or the lines ``text_lines()`` builds."""
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -94,7 +94,7 @@ def _cmd_apply(args) -> int:
     else:
         result = qpoly.tau_n(obj, order) if args.op == "tau" else _SIMPLE_OPS[args.op](obj)
 
-    _emit(result.to_json(), args.format, [str(result)])
+    _emit(result.to_json(), args.format, lambda: [str(result)])
     return 0
 
 
@@ -109,17 +109,17 @@ def _cmd_verify(args) -> int:
                          tol=args.tol, nodes=args.nodes)
     overall = all(r.passed for r in reports)
     payload = {"passed": overall, "suites": [r.to_dict() for r in reports]}
-    lines = []
-    for rep in reports:
-        for c in rep.checks:
-            status = "PASS" if c.passed else "FAIL"
-            extra = f" tol={c.tolerance}" if c.tolerance is not None else ""
-            warn = " (warning: vacuous)" if c.instances == 0 else ""
-            lines.append(
-                f"{status} {rep.suite}.{c.name} instances={c.instances} "
-                f"max_error={c.max_error:.3e}{extra}{warn}"
-            )
-    lines.append(f"{'PASS' if overall else 'FAIL'} overall")
+
+    def lines():
+        for rep in reports:
+            for c in rep.checks:
+                status = "PASS" if c.passed else "FAIL"
+                extra = f" tol={c.tolerance}" if c.tolerance is not None else ""
+                warn = " (warning: vacuous)" if c.instances == 0 else ""
+                yield (f"{status} {rep.suite}.{c.name} instances={c.instances} "
+                       f"max_error={c.max_error:.3e}{extra}{warn}")
+        yield f"{'PASS' if overall else 'FAIL'} overall"
+
     if args.count == 0:
         payload["warning"] = "empty corpus: all checks vacuous"
     _emit(payload, args.format, lines)
@@ -138,6 +138,8 @@ def _exact(f: SlicePolyFn) -> SlicePolyFn:
 
 
 def _cmd_integrate(args) -> int:
+    from . import quad  # imported here, so that apply does not load quad and kernels
+
     data = _read_spec(args.spec)
     f = SlicePolyFn.from_json(data)
     path = quad.CirclePath(_parse_unit(args.unit), args.radius, args.nodes)
@@ -166,7 +168,7 @@ def _cmd_integrate(args) -> int:
         "abs_deviation": deviation,
     }
     _emit(payload, args.format,
-          [f"value     {value}", f"reference {reference}", f"deviation {deviation:.3e}"])
+          lambda: [f"value     {value}", f"reference {reference}", f"deviation {deviation:.3e}"])
     return 0
 
 
@@ -224,11 +226,15 @@ def main(argv=None) -> int:
         return args.func(args)
     except SlicePolyError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        lines = [f"error: {payload['error']}: {payload['message']}"]
         remainder = getattr(exc, "remainder", None)
         if remainder is not None:
             payload["remainder"] = remainder.to_json()
-            lines.append(f"remainder: {remainder}")
+
+        def lines():
+            yield f"error: {payload['error']}: {payload['message']}"
+            if remainder is not None:
+                yield f"remainder: {remainder}"
+
         _emit(payload, args.format, lines)
         return 2
     except (ValueError, TypeError, KeyError, OverflowError, json.JSONDecodeError) as exc:

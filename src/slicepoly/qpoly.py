@@ -119,11 +119,11 @@ class QPoly:
                 for k in sorted(self._terms, key=_LOW.__and__)]
 
     def coeff(self, exp: Exponent) -> Quaternion:
-        """The coefficient of x^exp; ZERO for any exponent no polynomial can hold."""
-        try:
-            c = self._terms.get(_pack(_exponent(exp)))
-        except (ValueError, DegreeCapExceeded):
+        """The coefficient of x^exp; ZERO for any exponent no packed key can hold."""
+        exp = tuple(exp)
+        if len(exp) != 4 or any(type(a) is not int or not 0 <= a <= 127 for a in exp):
             return ZERO
+        c = self._terms.get(_pack(exp))
         return ZERO if c is None else Quaternion._new(*c)
 
     def is_zero(self) -> bool:

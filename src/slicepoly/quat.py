@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 Scalar = Fraction | float
@@ -27,8 +26,31 @@ _UNIT_ULPS = 8 * sys.float_info.epsilon
 _MIXED = "mixed scalar backends; convert explicitly with to_float()"
 
 
-@dataclass(frozen=True, slots=True)
-class Quaternion:
+class _Frozen:
+    """An immutable slotted value: its slots are its fields, set once at construction.
+
+    Assignment and deletion raise ``AttributeError``; construction writes
+    through the slots' own descriptors.  ``repr`` names the fields, and
+    ``pickle`` and ``copy`` rebuild a value through its public constructor.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+
+class Quaternion(_Frozen):
     """A quaternion with homogeneous scalar components.
 
     Integer and ``Fraction`` components form the exact backend; a single
@@ -36,32 +58,39 @@ class Quaternion:
     a ``Fraction`` raises, since that would silently lose exactness.
     """
 
-    w: Scalar
-    x: Scalar
-    y: Scalar
-    z: Scalar
+    __slots__ = ("w", "x", "y", "z")
 
-    def __post_init__(self):
-        comps = (self.w, self.x, self.y, self.z)
+    def __init__(self, w: Scalar, x: Scalar, y: Scalar, z: Scalar):
+        comps = (w, x, y, z)
         if any(type(c) is float for c in comps):
             if any(isinstance(c, Fraction) for c in comps):
                 raise TypeError("cannot mix float and exact components; use to_float()")
-            for name, c in zip("wxyz", comps):
-                if type(c) is not float:
-                    object.__setattr__(self, name, float(c))
+            w, x, y, z = (c if type(c) is float else float(c) for c in comps)
         else:
             # exact backend: ints stay ints (fast path), Fractions appear only
             # where division forces them; both are exact and interoperate
-            for name, c in zip("wxyz", comps):
+            for c in comps:
                 if not isinstance(c, (int, Fraction)):
                     raise TypeError(f"unsupported scalar type {type(c).__name__}")
+        _set_w(self, w)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.w, self.x, self.y, self.z) == (other.w, other.x, other.y, other.z)
+
+    def __hash__(self) -> int:
+        return hash((self.w, self.x, self.y, self.z))
 
     # -- backend ----------------------------------------------------------
 
     @classmethod
     def _new(cls, w, x, y, z) -> "Quaternion":
         # trusted fast path for arithmetic results: components are already homogeneous,
-        # so skip normalization; the slots' own descriptors bypass the frozen __setattr__
+        # so skip the checks; the slots' own descriptors bypass the frozen __setattr__
         q = object.__new__(cls)
         _set_w(q, w)
         _set_x(q, x)
@@ -203,6 +232,12 @@ def _hamilton(p: tuple, q: tuple) -> tuple:
 def _scalar_from_json(c) -> Scalar:
     if isinstance(c, str):
         try:
+            # fast path: since Python 3.11 (underscores), Fraction reads each string int
+            # reads, as the same integer
+            return int(c)
+        except ValueError:
+            pass
+        try:
             return Fraction(c)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in quaternion JSON: {c!r}") from None
@@ -215,7 +250,7 @@ def _scalar_from_json(c) -> Scalar:
 
 def quatf(w=0.0, x=0.0, y=0.0, z=0.0) -> Quaternion:
     """Float-backed quaternion from anything numeric."""
-    return Quaternion(float(w), float(x), float(y), float(z))
+    return Quaternion._new(float(w), float(x), float(y), float(z))
 
 
 ZERO = Quaternion(0, 0, 0, 0)
@@ -225,23 +260,30 @@ E2 = Quaternion(0, 0, 1, 0)
 E3 = Quaternion(0, 0, 0, 1)
 
 
-@dataclass(frozen=True, slots=True)
-class UnitImaginary:
+class UnitImaginary(_Frozen):
     """An imaginary unit: zero real part and unit vector norm, so u*u == -1.
 
     The exact backend validates exactly; the float backend allows 8 ulps of
     drift on both conditions.
     """
 
-    u: Quaternion
+    __slots__ = ("u",)
 
-    def __post_init__(self):
-        q = self.u
-        if q.is_exact:
-            if q.w != 0 or q.vec_norm_sq() != 1:
-                raise ValueError(f"{q} is not an exact imaginary unit")
-        elif not (abs(q.w) <= _UNIT_ULPS and abs(q.vec_norm_sq() - 1.0) <= _UNIT_ULPS):
-            raise ValueError(f"{q} is not an imaginary unit within 8 ulps")
+    def __init__(self, u: Quaternion):
+        if u.is_exact:
+            if u.w != 0 or u.vec_norm_sq() != 1:
+                raise ValueError(f"{u} is not an exact imaginary unit")
+        elif not (abs(u.w) <= _UNIT_ULPS and abs(u.vec_norm_sq() - 1.0) <= _UNIT_ULPS):
+            raise ValueError(f"{u} is not an imaginary unit within 8 ulps")
+        _set_u(self, u)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.u == other.u
+
+    def __hash__(self) -> int:
+        return hash((self.u,))
 
     @classmethod
     def from_vector(cls, x: float, y: float, z: float) -> "UnitImaginary":
@@ -265,6 +307,8 @@ class UnitImaginary:
     def __str__(self) -> str:
         return str(self.u)
 
+
+_set_u = UnitImaginary.__dict__["u"].__set__
 
 U1 = UnitImaginary(E1)
 U2 = UnitImaginary(E2)

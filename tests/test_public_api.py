@@ -14,6 +14,9 @@ it wraps in strings.  Docstrings never count.  The uncalled names must equal
 Methods match by bare name, so a dead method that shares its name with a live
 one goes unseen; the census never flags a live name.
 
+The package root exports its names lazily: each loads its home module on first
+access, and a cold ``slicepoly`` CLI process imports only what ``apply`` runs.
+
 The second census collects, over the same modules, each private name that one
 module takes from a sibling: ``from .m import _x``, or ``m._x`` where ``m`` came
 from ``from . import m``.  A class attribute such as ``Quaternion._new`` does not
@@ -23,8 +26,14 @@ count.  The ``(user, owner, name)`` triples must equal ``PRIVATE_ALLOWED``.
 from __future__ import annotations
 
 import ast
+import importlib
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "slicepoly"
@@ -155,3 +164,63 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+#: the package-root exports, by home module, as the eager ``__init__`` listed them
+ROOT_EXPORTS = {
+    "errors": ["DegreeCapExceeded", "NotDivisible", "NotFueterRegular", "NotInClass",
+               "NotOrthogonal", "OnRealAxis", "OnSingularSphere", "OrderMismatch",
+               "OutsideContour", "SlicePolyError"],
+    "quat": ["E1", "E2", "E3", "ONE", "Quaternion", "U1", "U2", "UnitImaginary", "ZERO", "quatf"],
+    "qpoly": ["QPoly", "c_n", "cauchy_fueter", "conjugate_cauchy_fueter", "divide_by_vecnorm_sq",
+              "expand_q_power", "expand_qbar_power", "global_g", "global_v", "is_poly_fueter",
+              "build_poly_fueter", "laplacian", "partial", "tau_n"],
+    "slicefn": ["RightSlicePolyFn", "SlicePolyFn", "SliceRegularSeries", "appell_apply",
+                "appell_check", "decompose", "right_cr_derivative", "slice_cr_derivative"],
+    "kernels": ["delta_s_inv", "f_j", "s_inv"],
+    "quad": ["CirclePath", "canonical_perp", "cauchy_theorem_residual", "fueter_integral",
+             "fueter_integral_explicit", "poly_cauchy_eval", "restrict",
+             "unit_independence_check"],
+}
+
+
+def test_root_exports_resolve_to_their_home_objects():
+    import slicepoly
+
+    star: dict = {}
+    exec("from slicepoly import *", star)
+    listed = dir(slicepoly)
+    for home, names in ROOT_EXPORTS.items():
+        module = importlib.import_module(f"slicepoly.{home}")
+        for name in names:
+            assert getattr(slicepoly, name) is getattr(module, name), name
+            assert name in listed and star[name] is getattr(module, name), name
+    assert sorted(slicepoly.__all__) == sorted(n for names in ROOT_EXPORTS.values() for n in names)
+    assert slicepoly.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        slicepoly.no_such_name
+
+
+#: runs without ``site``: imports the CLI, runs ``apply V``, prints the loaded modules
+_COLD_START = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import slicepoly.cli
+imported = sorted(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = slicepoly.cli.main(["apply", "V", '{"order": 2, "components": [[0, 1], [1]]}'])
+print(json.dumps([code, imported, sorted(sys.modules)]))
+"""
+
+CLI_MODULES = {"slicepoly",
+               *(f"slicepoly.{m}" for m in ("errors", "quat", "qpoly", "slicefn", "cli"))}
+
+
+def test_cold_cli_loads_only_what_apply_runs():
+    out = subprocess.run([sys.executable, "-S", "-c", _COLD_START, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    code, imported, after_apply = json.loads(out)
+    assert code == 0
+    for loaded in (imported, after_apply):
+        assert {m for m in loaded if m.partition(".")[0] == "slicepoly"} == CLI_MODULES
+        assert "dataclasses" not in loaded and "inspect" not in loaded

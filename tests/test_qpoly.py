@@ -701,3 +701,21 @@ class TestPackedKeys:
             assert p.coeff(e) == c
         for e in ((DEGREE_CAP + 1, 0, 0, 0), (0, 0, 0, 100000000), (0, 200, 0, 0), (1, 2)):
             assert p.coeff(e) == ZERO
+
+    def test_coeff_reads_a_remainder_above_the_cap(self):
+        # V of x1^64 leaves a degree-65 remainder; a read returns what is stored there
+        with pytest.raises(NotDivisible) as info:
+            global_v(qpoly.X1**DEGREE_CAP)
+        rem = info.value.remainder
+        assert rem.degree == DEGREE_CAP + 1
+        assert rem.coeff((0, 0, 0, DEGREE_CAP + 1)) == E3 * DEGREE_CAP
+        for e, c in rem.terms():
+            assert rem.coeff(e) == c
+
+    def test_coeff_of_an_exponent_no_key_holds_is_zero(self):
+        p = qpoly.X2 + qpoly.X3**DEGREE_CAP
+        # (1, -128, 0, 128) packs to the key of x2, (0, 0, 1, 0): it must not alias it
+        for e in ((1, -128, 0, 128), (0, 0, -1, 0), (0, 0, 0, 128), (0, 0, 1), (0, 0, 1, 0, 0),
+                  (0, 0, True, 0), (0, 0, 1.0, 0)):
+            assert p.coeff(e) == ZERO, e
+        assert p.coeff((0, 0, 1, 0)) == ONE and p.coeff((0, 0, 0, DEGREE_CAP)) == ONE

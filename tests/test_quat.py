@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from slicepoly.quat import (
     E2,
     E3,
     ONE,
+    U1,
     Quaternion,
     UnitImaginary,
     quatf,
@@ -188,6 +190,37 @@ class TestSerialization:
             with pytest.raises(ValueError, match="zero denominator"):
                 Quaternion.from_json(bad)
 
+    @given(st.text(st.sampled_from(" \t\n\x1c\xa0\u2003+-_0123456789\u0661\u0662\uff13./eEx"),
+                   max_size=12))
+    @example("1_000")
+    @example(" 12 ")
+    @example("\u0661\u0662")
+    @example("+5")
+    @example("-0")
+    @example("1e3")
+    @example("12.5")
+    @example("1/0")
+    @example("0x10")
+    def test_scalar_strings_read_as_fraction_reads_them(self, text):
+        try:
+            expected = Fraction(text)
+        except ZeroDivisionError:
+            expected = "zero denominator"
+        except ValueError:
+            expected = ValueError
+        try:
+            got = Quaternion.from_json(text).w
+        except ValueError as exc:
+            got = "zero denominator" if "zero denominator" in str(exc) else ValueError
+        assert got == expected
+        if isinstance(expected, Fraction):
+            try:
+                int(text)
+            except ValueError:
+                assert type(got) is Fraction
+            else:  # the integer fast path: the same value, as an int
+                assert type(got) is int
+
 
 class TestFastPaths:
     """The lean arithmetic keeps the backend rules and the frozen value semantics."""
@@ -212,7 +245,7 @@ class TestFastPaths:
     @given(float_quats)
     def test_new_is_frozen_and_equals_constructor(self, q):
         fast = Quaternion._new(q.w, q.x, q.y, q.z)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             fast.w = 1.0
         assert fast == q and hash(fast) == hash(q)
         assert fast * 2.0 == Quaternion(q.w * 2.0, q.x * 2.0, q.y * 2.0, q.z * 2.0)
@@ -224,6 +257,50 @@ class TestFastPaths:
         assert not f.is_exact
         assert (f.w, f.x, f.y, f.z) == tuple(float(c) for c in (q.w, q.x, q.y, q.z))
         assert all(type(c) is float for c in (f.w, f.x, f.y, f.z))
+
+
+class TestValueSemantics:
+    """Both classes are frozen slotted values: equality, hash, repr, pickle and copy."""
+
+    VALUES = (Quaternion(Fraction(1, 3), -2, 0, Fraction(7, 2)), Quaternion(1, 0, 0, 0),
+              quatf(0.5, -1.25, 0.0, 3.0), U1,
+              UnitImaginary(Quaternion(0, Fraction(3, 5), 0, Fraction(4, 5))),
+              UnitImaginary.from_vector(1.0, -2.0, 0.5))
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_pickle_and_copies_round_trip(self, value):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+            assert repr(twin) == repr(value)
+        q = value if isinstance(value, Quaternion) else value.u
+        twin = pickle.loads(pickle.dumps(q))
+        assert [type(c) for c in (twin.w, twin.x, twin.y, twin.z)] == \
+            [type(c) for c in (q.w, q.x, q.y, q.z)]
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_frozen(self, value):
+        name = "w" if isinstance(value, Quaternion) else "u"
+        with pytest.raises(AttributeError):
+            setattr(value, name, ONE)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert not hasattr(value, "__dict__")
+
+    def test_repr_names_the_fields(self):
+        assert repr(Quaternion(Fraction(1, 3), -2, 0, 1)) == \
+            "Quaternion(w=Fraction(1, 3), x=-2, y=0, z=1)"
+        assert repr(U1) == "UnitImaginary(u=Quaternion(w=0, x=1, y=0, z=0))"
+
+    def test_equality_and_hash(self):
+        assert Quaternion(1, 0, 0, 0) == Quaternion(Fraction(1), 0, 0, 0)
+        assert hash(Quaternion(1, 2, 3, 4)) == hash((1, 2, 3, 4))
+        assert hash(U1) == hash((U1.u,)) and U1 == UnitImaginary(E1) != UnitImaginary(E2)
+        # equality holds between instances of one class only
+        assert Quaternion(0, 1, 0, 0) != U1 and U1 != Quaternion(0, 1, 0, 0)
+        assert Quaternion(1, 0, 0, 0) != (1, 0, 0, 0)
+        assert len({Quaternion(1, 0, 0, 0), Quaternion(Fraction(1), 0, 0, 0), quatf(1.0)}) == 1
 
 
 def test_pow_matches_repeated_mul():
