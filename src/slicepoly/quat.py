@@ -233,8 +233,8 @@ def _scalar_from_json(c) -> Scalar:
     if isinstance(c, str):
         try:
             # fast path: since Python 3.11 (underscores), Fraction reads each string int
-            # reads, as the same integer
-            return int(c)
+            # reads, as the same integer; it stays a Fraction, so a string is exact input
+            return Fraction(int(c))
         except ValueError:
             pass
         try:

@@ -212,14 +212,14 @@ class TestSerialization:
             got = Quaternion.from_json(text).w
         except ValueError as exc:
             got = "zero denominator" if "zero denominator" in str(exc) else ValueError
-        assert got == expected
-        if isinstance(expected, Fraction):
-            try:
-                int(text)
-            except ValueError:
-                assert type(got) is Fraction
-            else:  # the integer fast path: the same value, as an int
-                assert type(got) is int
+        assert got == expected and type(got) is type(expected)
+
+    def test_integer_string_beside_a_float_is_refused(self):
+        # the integer fast path keeps a string exact, so it mixes with a float no more than before
+        for data in (["1", 0.5, 0, 0], [0.5, " -3 ", 0, 0]):
+            with pytest.raises(TypeError, match="cannot mix"):
+                Quaternion.from_json(data)
+        assert Quaternion.from_json([1, 0.5, 0, 0]) == quatf(1.0, 0.5)
 
 
 class TestFastPaths:
