@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import qpoly
 from .errors import SlicePolyError
@@ -37,7 +36,8 @@ def _read_spec(arg: str):
         text = arg
     else:
         try:
-            text = Path(arg).read_text()
+            with open(arg) as fh:  # not pathlib, which a cold start need not load
+                text = fh.read()
         except OSError as exc:
             raise ValueError(f"cannot read spec file {arg}: {exc.strerror or exc}") from exc
     return json.loads(text)
