@@ -232,8 +232,8 @@ def _hamilton(p: tuple, q: tuple) -> tuple:
 def _scalar_from_json(c) -> Scalar:
     if isinstance(c, str):
         try:
-            # fast path: since Python 3.11 (underscores), Fraction reads each string int
-            # reads, as the same integer; it stays a Fraction, so a string is exact input
+            # fast path: since Python 3.11, Fraction reads every string that int reads
+            # (underscores too) as the same integer; a Fraction keeps a string exact input
             return Fraction(int(c))
         except ValueError:
             pass
