@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import qpoly
 from .errors import SlicePolyError
@@ -36,8 +37,7 @@ def _read_spec(arg: str):
         text = arg
     else:
         try:
-            with open(arg) as fh:  # not pathlib, which a cold start need not load
-                text = fh.read()
+            text = Path(arg).read_text()
         except OSError as exc:
             raise ValueError(f"cannot read spec file {arg}: {exc.strerror or exc}") from exc
     return json.loads(text)

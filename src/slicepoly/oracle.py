@@ -9,7 +9,7 @@ uses default to a larger step.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from typing import Callable
 
 from .errors import OnRealAxis
 from .quat import E1, E2, E3, Quaternion, quatf

@@ -45,11 +45,11 @@ Values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb, fsum
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeCapExceeded, NotDivisible, NotFueterRegular
 from .quat import E1, E2, E3, Quaternion, ZERO, _hamilton

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable
 from fractions import Fraction
+from typing import Callable
 
 from . import kernels
 from .errors import NotOrthogonal, OnSingularSphere, OrderMismatch, OutsideContour

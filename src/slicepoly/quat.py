@@ -231,13 +231,6 @@ def _hamilton(p: tuple, q: tuple) -> tuple:
 
 def _scalar_from_json(c) -> Scalar:
     if isinstance(c, str):
-        if "_" not in c:  # Python 3.10's Fraction reads no underscores
-            try:
-                # fast path: Fraction reads every string that int reads as the same
-                # integer; a Fraction keeps a string exact input
-                return Fraction(int(c))
-            except ValueError:
-                pass
         try:
             return Fraction(c)
         except ZeroDivisionError:

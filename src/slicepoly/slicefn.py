@@ -14,8 +14,8 @@ A function's expansion and its operator images are computed on its stem by
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from . import qpoly
 from .errors import NotDivisible, NotInClass

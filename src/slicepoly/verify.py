@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import kernels, oracle, qpoly, quad
 from .qpoly import QPoly

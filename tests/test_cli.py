@@ -58,7 +58,7 @@ class TestApply:
 
     @pytest.mark.parametrize("argv", [("apply", "V"), ("integrate", "residual", QBAR_SPEC, "--right-spec")])
     def test_unreadable_spec_path_exits_one(self, capsys, tmp_path, argv):
-        # a directory makes open raise IsADirectoryError, an OSError like PermissionError
+        # a directory makes read_text raise IsADirectoryError, an OSError like PermissionError
         code = main([*argv, str(tmp_path)])
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")

@@ -224,4 +224,4 @@ def test_cold_cli_loads_only_what_apply_runs():
     assert code == 0
     for loaded in (imported, after_apply):
         assert {m for m in loaded if m.partition(".")[0] == "slicepoly"} == CLI_MODULES
-        assert not {"dataclasses", "inspect", "pathlib", "typing"} & set(loaded)
+        assert not {"dataclasses", "inspect"} & set(loaded)
