@@ -234,9 +234,8 @@ class TestIntegrate:
         assert code == 0 and json.loads(out)["abs_deviation"] < 1e-12
 
     def test_fraction_beside_a_float_exits_one(self, capsys):
-        for exact in ('"1/2"', '"1"'):
-            spec = '{"order":1,"components":[[%s,0,0.5]]}' % exact
-            assert run_cli(capsys, "integrate", "cauchy", spec, "[0.1,0.2,0,0]") == (1, ""), exact
+        spec = '{"order":1,"components":[["1/2",0,0.5]]}'
+        assert run_cli(capsys, "integrate", "cauchy", spec, "[0.1,0.2,0,0]") == (1, "")
 
     def test_stdin_spec(self, capsys, monkeypatch):
         import io

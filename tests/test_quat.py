@@ -190,13 +190,6 @@ class TestSerialization:
             with pytest.raises(ValueError, match="zero denominator"):
                 Quaternion.from_json(bad)
 
-    def test_integer_string_beside_a_float_is_refused(self):
-        # a string scalar is exact, so it mixes with a float no more than a Fraction does
-        for data in (["1", 0.5, 0, 0], [0.5, " -3 ", 0, 0]):
-            with pytest.raises(TypeError, match="cannot mix"):
-                Quaternion.from_json(data)
-        assert Quaternion.from_json([1, 0.5, 0, 0]) == quatf(1.0, 0.5)
-
 
 class TestFastPaths:
     """The lean arithmetic keeps the backend rules and the frozen value semantics."""
