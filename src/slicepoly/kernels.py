@@ -35,7 +35,10 @@ def _parts(s: Quaternion, q: Quaternion) -> tuple[tuple, tuple]:
     dx = sw * sx + sx * sw + sy * sz - sz * sy - sx * t + 0.0
     dy = sw * sy - sx * sz + sy * sw + sz * sx - sy * t + 0.0
     dz = sw * sz + sx * sy - sy * sx + sz * sw - sz * t + 0.0
-    r = 1.0 / (dw * dw + dx * dx + dy * dy + dz * dz)  # D's inverse is conj(D) * r
+    if not 0.0 < (n2 := dw * dw + dx * dx + dy * dy + dz * dz) < math.inf:  # as quad refuses
+        raise OnSingularSphere(f"D(s, q) rounds to 0 at s={s} for q={q}") if n2 == 0.0 \
+            else ValueError(f"|D(s, q)|^2 is beyond the float range at s={s} for q={q}")
+    r = 1.0 / n2  # D's inverse is conj(D) * r
     # s - conj q: x - (-y) is x + y in IEEE arithmetic
     return (sw - qw, sx + qx, sy + qy, sz + qz), (dw * r, -dx * r, -dy * r, -dz * r)
 

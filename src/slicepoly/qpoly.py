@@ -57,8 +57,6 @@ from .quat import E1, E2, E3, Quaternion, ZERO, _hamilton
 Exponent = tuple[int, int, int, int]
 Coef = tuple  # an exact coefficient as its components (w, x, y, z), ints or Fractions
 
-_ZERO_EXP: Exponent = (0, 0, 0, 0)
-
 #: hard bound on the total degree of every polynomial; protects memory when products run away
 DEGREE_CAP = 64
 
@@ -80,13 +78,7 @@ class QPoly:
     __slots__ = ("_terms", "_decoded")
 
     def __init__(self, terms: Mapping[Exponent, Quaternion] | None = None):
-        clean: dict[int, Coef] = {}
-        if terms:
-            for exp, coef in terms.items():
-                k, c = _pack(_exponent(exp)), _coef(coef)
-                if any(c):
-                    clean[k] = c
-        self._terms = clean
+        self._terms = _intake((_exponent(e), c) for e, c in terms.items()) if terms else {}
         self._decoded = None
 
     # -- constructors -------------------------------------------------------
@@ -97,7 +89,7 @@ class QPoly:
 
     @classmethod
     def constant(cls, c: Quaternion) -> "QPoly":
-        return cls({_ZERO_EXP: c})
+        return cls({(0, 0, 0, 0): c})
 
     @classmethod
     def one(cls) -> "QPoly":
@@ -273,17 +265,7 @@ class QPoly:
     def from_json(cls, data) -> "QPoly":
         if not isinstance(data, dict) or "terms" not in data:
             raise ValueError('polynomial JSON must be {"terms": [...]}')
-        terms: dict[Exponent, Quaternion] = {}
-        for item in data["terms"]:
-            exp = _exponent(item["exp"])
-            coef = Quaternion.from_json(item["coef"])
-            if not coef.is_exact:
-                raise ValueError(
-                    "polynomial coefficients must be exact: integers or 'p/q' strings"
-                )
-            acc = terms.get(exp)
-            terms[exp] = coef if acc is None else acc + coef
-        return cls(terms)
+        return _wrap(_intake(map(_json_term, data["terms"])))
 
 
 def _wrap(terms: dict[int, Coef]) -> QPoly:
@@ -326,6 +308,39 @@ def _coef(q: Quaternion) -> Coef:
     if not isinstance(q, Quaternion) or not q.is_exact:
         raise TypeError("QPoly coefficients must use the exact backend")
     return (_real(q.w), _real(q.x), _real(q.y), _real(q.z))
+
+
+def _json_term(item) -> tuple[Exponent, Quaternion]:
+    """A raw term's (exponent, coefficient), checked in that order; a float coefficient is a ValueError."""
+    exp = _exponent(item["exp"])
+    coef = Quaternion.from_json(item["coef"])
+    if not coef.is_exact:
+        raise ValueError("polynomial coefficients must be exact: integers or 'p/q' strings")
+    return exp, coef
+
+
+def _intake(pairs: Iterable[tuple[Exponent, Quaternion]]) -> dict[int, Coef]:
+    """Checked (exponent, coefficient) pairs as terms: float ones refused, zeros dropped, repeats merged."""
+    return _merge((_pack(e), c) for e, q in pairs if any(c := _coef(q)))
+
+
+def _merge(pairs: Iterable[tuple], out: dict | None = None) -> dict:
+    """Merge (key, nonzero coefficient) pairs into ``out`` (taken over) or {}; zero sums drop.
+    Keys are packed monomials for a polynomial and (part, i, j) for a stem."""
+    if out is None:
+        out = {}
+    get = out.get
+    for k, c in pairs:
+        acc = get(k)
+        if acc is None:
+            out[k] = c
+            continue
+        w, x, y, z = acc[0] + c[0], acc[1] + c[1], acc[2] + c[2], acc[3] + c[3]
+        if w or x or y or z:
+            out[k] = (w, x, y, z)
+        else:
+            del out[k]
+    return out
 
 
 # -- the quaternion variable and its conjugate ------------------------------------
@@ -437,25 +452,6 @@ def partial(p: QPoly, axis: int) -> QPoly:
         if a:
             out[k - step] = (w * a, x * a, y * a, z * a)
     return _wrap(out)
-
-
-def _merge(pairs: Iterable[tuple], out: dict | None = None) -> dict:
-    """Merge (key, nonzero coefficient) pairs into ``out`` (taken over) or {}; zero sums drop.
-    Keys are packed monomials for a polynomial and (part, i, j) for a stem."""
-    if out is None:
-        out = {}
-    get = out.get
-    for k, c in pairs:
-        acc = get(k)
-        if acc is None:
-            out[k] = c
-            continue
-        w, x, y, z = acc[0] + c[0], acc[1] + c[1], acc[2] + c[2], acc[3] + c[3]
-        if w or x or y or z:
-            out[k] = (w, x, y, z)
-        else:
-            del out[k]
-    return out
 
 
 def qsum(polys: Iterable[QPoly]) -> QPoly:

@@ -45,10 +45,10 @@ def _dot4(a: Quaternion, b: Quaternion) -> float:
 
 
 def canonical_perp(i: UnitImaginary) -> UnitImaginary:
-    """A deterministic unit orthogonal to i: normalize i x e1, falling back to i x e2."""
+    """A deterministic unit orthogonal to i: normalize i x e1, or i x e2 when i x e1 is exactly 0."""
     u = i.to_float().u
     vx, vy, vz = 0.0, u.z, -u.y          # cross(vec(i), e1)
-    if vy * vy + vz * vz < 1e-12:
+    if not (vy or vz):                   # i = +-e1; from_vector rescales a tiny i x e1 exactly
         vx, vy, vz = -u.z, 0.0, u.x      # cross(vec(i), e2)
     return UnitImaginary.from_vector(vx, vy, vz)
 
@@ -78,8 +78,9 @@ def restrict(f: SlicePolyFn | RightSlicePolyFn, frame: tuple, js) -> Callable[[c
     J z^m = conj(z)^m J swaps z and conj(z) in G_k and in its power factor.
     Only the components that js reads (k >= min(js)) are split; the others stay ().
     Weights beyond the float range raise ValueError.  If a part exceeds 2^PRESCALE, every part
-    is scaled by 2^-e so that none does, and ``values.shift`` is e (else 0): the values are
-    then exactly those of 2^-e f, and the integral adds e to the exponent of _contour_sum.
+    is scaled by 2^-e so that none does, ``values.shift`` is e (else 0) and the integral adds e
+    to the exponent of _contour_sum.  So a float integral is accurate relative to the largest
+    split part that it reads, and a part more than 2^1278 below that part may lose bits.
     """
     right_sided = isinstance(f, RightSlicePolyFn)
     comps = f.components if right_sided else [c.coeffs for c in f.components]

@@ -589,6 +589,16 @@ class TestVerifyDigests:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    ALL_CASES = [
+        ((), "9e71340de2afea04449f801bd4eccb844f513089bc74388dc33ecf80faf6e73b"),
+        (("--seed", "7", "--count", "5", "--format", "text"),
+         "9b90ed52c4466ea5682159230614173f81e2a90e5acc821acae83f17bef7be64"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", ALL_CASES, ids=["default", "seed7-text"])
+    def test_verify_all_digest(self, capsys, argv, digest):
+        self.test_stdout_digest(capsys, ("all", *argv), digest)
+
 
 class TestEntryPoint:
     def test_console_script(self):

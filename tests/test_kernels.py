@@ -7,7 +7,9 @@ from hypothesis import example, given, strategies as st
 from slicepoly import kernels, oracle
 from slicepoly.errors import OnSingularSphere
 from slicepoly.kernels import SINGULAR_GUARD, delta_s_inv, f_j, s_inv
-from slicepoly.quat import Quaternion, quatf
+from slicepoly.quad import CirclePath, poly_cauchy_eval
+from slicepoly.quat import Quaternion, U1, quatf
+from slicepoly.slicefn import SlicePolyFn, SliceRegularSeries
 
 from helpers import rand_circle_node, rand_point, rand_unit
 
@@ -64,6 +66,26 @@ class TestSInv:
     def test_rejects_exact_backend(self):
         with pytest.raises(TypeError):
             s_inv(Quaternion(2, 0, 0, 0), quatf(0.5))
+
+    @pytest.mark.parametrize("s, q, error, message", [
+        # D cancels to 0 in rounding, far above the guard: quad refuses this node alike
+        (quatf(1e10), quatf(9999999900.0), OnSingularSphere, r"D\(s, q\) rounds to 0"),
+        # |D|^2 overflows, which gave NaN components
+        (quatf(1e200), quatf(0.1), ValueError, "beyond the float range"),
+        (quatf(1e160, 1, 0, 0), quatf(0.1, 0.2, 0, 0), ValueError, "beyond the float range"),
+    ])
+    def test_refuses_what_quad_refuses(self, s, q, error, message):
+        for j in (0, 1):
+            with pytest.raises(error, match=message):
+                f_j(s, q, j)
+        for kernel in (s_inv, delta_s_inv):
+            with pytest.raises(error, match=message):
+                kernel(s, q)
+
+    def test_quad_refuses_the_rounded_zero_alike(self):
+        f = SlicePolyFn([SliceRegularSeries([quatf(1.0)])])
+        with pytest.raises(OnSingularSphere, match=r"D\(s, q\) rounds to 0"):
+            poly_cauchy_eval(f, quatf(9999999900.0), CirclePath(U1, 1e10, 4))
 
 
 class TestDeltaSInv:

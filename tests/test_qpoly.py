@@ -465,6 +465,69 @@ class TestJson:
             QPoly({(0, False, 0, 0): ONE})
 
 
+# -- the one intake: raw JSON terms against an independent sum by exponent ----------
+
+
+def _json_scalar(x: Fraction, form: int):
+    """x as a raw JSON scalar: an int where it is integral (form 0), a reduced "p/q" string
+    (form 1) or an unreduced one (form 2)."""
+    if form == 0 and x.denominator == 1:
+        return int(x)
+    k = 1 if form < 2 else 3
+    return f"{x.numerator * k}/{x.denominator * k}"
+
+
+@st.composite
+def raw_terms(draw):
+    """Raw {"exp", "coef"} terms in a drawn order: repeated exponents, zero coefficients and
+    cancelling pairs, with every scalar drawn as an int or a "p/q" string."""
+    exps = st.tuples(*[st.integers(0, 2)] * 4)  # 81 exponents, so repeats are common
+    coefs = st.lists(st.fractions(-2, 2, max_denominator=3), min_size=4, max_size=4)
+    terms = draw(st.lists(st.tuples(exps, coefs), max_size=6))
+    terms += [(e, [Fraction(0)] * 4) for e in draw(st.lists(exps, max_size=2))]
+    for e, c in draw(st.lists(st.tuples(exps, coefs), max_size=2)):
+        terms += [(e, c), (e, [-x for x in c])]
+    return [{"exp": list(e), "coef": [_json_scalar(x, draw(st.integers(0, 2))) for x in c]}
+            for e, c in draw(st.permutations(terms))]
+
+
+def sum_by_exponent(raw) -> dict:
+    """The nonzero coefficients of raw terms by exponent tuple, summed as Fractions."""
+    out: dict = {}
+    for t in raw:
+        acc = out.setdefault(tuple(t["exp"]), [0] * 4)
+        acc[:] = [a + Fraction(v) for a, v in zip(acc, t["coef"])]
+    return {e: Quaternion(*c) for e, c in out.items() if any(c)}
+
+
+_BIG = [DEGREE_CAP + 1, 0, 0, 0]
+
+
+class TestIntake:
+    @given(raw_terms(), st.just(None))
+    @example([{"exp": [1, 0, 0, 0], "coef": ["1/2", 0, 0, 0]},
+              {"exp": [1, 0, 0, 0], "coef": ["-2/4", 0, 0, 0]}], None)
+    @example([{"exp": [0, 1, 0, 0], "coef": [0, 1, 0, 0]},
+              {"exp": [0, 1, 0, 0], "coef": ["1/3", "2/3", 0, 0]},
+              {"exp": [0, 0, 0, 0], "coef": [0, 0, 0, 0]}], None)
+    # each term is checked exponent first, then coefficient, in input order
+    @example([{"exp": _BIG, "coef": [0.5, 0, 0, 0]}], DegreeCapExceeded)
+    @example([{"exp": _BIG, "coef": ["1/0", 0, 0, 0]}], DegreeCapExceeded)
+    @example([{"exp": [0, 0, 0, 0], "coef": [0.5, 0, 0, 0]},
+              {"exp": _BIG, "coef": [1, 0, 0, 0]}], ValueError)
+    @example([{"exp": [0, 0, 0, 0]}, {"exp": _BIG, "coef": [1, 0, 0, 0]}], KeyError)
+    def test_from_json_matches_a_sum_by_exponent(self, raw, error):
+        if error is not None:
+            with pytest.raises(error):
+                QPoly.from_json({"terms": raw})
+            return
+        want = sum_by_exponent(raw)
+        p = QPoly.from_json({"terms": raw})
+        assert dict(p.terms()) == want
+        assert p == QPoly(want)
+        assert p.to_json() == QPoly(want).to_json()
+
+
 # -- the component-tuple kernel against the naive basis table ---------------------
 
 int_scalars = st.integers(-4, 4)

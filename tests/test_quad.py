@@ -65,6 +65,20 @@ class TestCirclePath:
             CirclePath(U1, 1.0, quad.MAX_NODES + 1)
         assert CirclePath(U1, 1.0, quad.MIN_NODES).n == quad.MIN_NODES
 
+    def test_canonical_perp_falls_back_only_at_exactly_e1(self):
+        # near +-e1, i x e1 is tiny but nonzero, and from_vector rescales it exactly
+        for vector in ((1, 1e-8, 0), (-1, 3e-200, -1e-300), (1, 5e-324, 0)):
+            i = UnitImaginary.from_vector(*vector)
+            j = quad.canonical_perp(i)
+            assert j == UnitImaginary.from_vector(0.0, i.u.z, -i.u.y)
+            quad.split_frame(i, j)
+        # only an exact +-e1 takes i x e2 = +-e3
+        for sign in (1, -1):
+            i = UnitImaginary.from_vector(sign, 0, 0)
+            j = quad.canonical_perp(i)
+            assert j.u == quatf(0, 0, 0, sign)
+            quad.split_frame(i, j)
+
     def test_nodes_match_line_elements(self):
         # dw_m = w_m dtheta, both on the slice of the contour's unit
         path = CirclePath(UnitImaginary.from_vector(1, -2, 0.5), 1.5, 32)
@@ -398,6 +412,16 @@ def _integrate(kind, spec, q, unit, n) -> float:
                      f"--unit={','.join(map(str, unit))}", f"--nodes={n}"])
     assert code == 0
     return json.loads(out.getvalue())["abs_deviation"]
+
+
+def test_prescale_is_normwise_accurate():
+    # restrict scales every split part by one power of two, so the 1.1 * 2^-1000 e2 part,
+    # 2^1300 below 2^300, turns subnormal and loses bits; the value is still accurate
+    # relative to the largest part (0.06 eps here), as the README's accuracy contract says
+    f = SlicePolyFn([S([quatf(2.0**300)]), S([quatf(0, 0, 1.1 * 2.0**-1000)])])
+    q = quatf(0.1, 0.2)
+    value = poly_cauchy_eval(f, q, CirclePath(U1, 1.0, 64))
+    assert abs(value - f.evaluate(q)) <= 4 * sys.float_info.epsilon * 2.0**300
 
 
 class TestFloatRange:

@@ -10,7 +10,9 @@ a residual), N in {16, 64, 512} and a radius in {0.5, 1, 2}.  The apply calls ru
 ``cli.main`` in the worker's process: each of the seven operators on an int or
 Fraction function spec of order 1-3, or on its raw expansion with ``--order`` for
 tau and c_n.  The tree under test builds the expansion and may refuse it.  About
-one spec in ten has degree 62-66, the others at most 4.  An apply answer is its
+one spec in ten has degree 62-66, the others at most 4.  Half of the raw cases
+split one term's coefficient across two entries and append a cancelling pair, so
+the same polynomial reaches ``apply`` with repeated exponents.  An apply answer is its
 exit code and output.  The script prints how many answers are identical (bit for
 bit, or refused with the same message), changed, newly answered, newly refused,
 and refused in both trees with a different message, with up to three witnesses of
@@ -30,6 +32,7 @@ import sys
 #: runs in each tree: reads the corpus on stdin, writes one result per case on stdout
 WORKER = r"""
 import contextlib, hashlib, io, json, sys
+from fractions import Fraction
 from slicepoly import cli, quad
 from slicepoly.quat import Quaternion, UnitImaginary
 from slicepoly.slicefn import RightSlicePolyFn, SlicePolyFn
@@ -42,6 +45,13 @@ def apply(case):
             spec = SlicePolyFn.from_json(spec).expand().to_json()
         except Exception as exc:
             return ["refused", f"expand: {type(exc).__name__}: {exc}"]
+        if "merge" in case and spec["terms"]:
+            at, part, exp, pair = case["merge"]
+            term = spec["terms"][int(at * len(spec["terms"]))]
+            rest = [str(Fraction(c) - Fraction(d)) for c, d in zip(term["coef"], part)]
+            spec["terms"] += [{"exp": term["exp"], "coef": part}, {"exp": exp, "coef": pair},
+                              {"exp": exp, "coef": [str(-Fraction(c)) for c in pair]}]
+            term["coef"] = rest
     argv = ["apply", case["op"], json.dumps(spec)]
     if case["raw"] and case["op"] in ("tau", "c_n"):
         argv += ["--order", str(case["spec"]["order"])]
@@ -86,8 +96,8 @@ def _spec(rng: random.Random, order: int, e: int) -> dict:
             "components": [[_coeff(rng, e) for _ in range(rng.randint(0, 4))] for _ in range(order)]}
 
 
-def _exact_coeff(rng: random.Random):
-    if rng.random() < 0.5:
+def _exact_coeff(rng: random.Random, strings: bool = False):
+    if not strings and rng.random() < 0.5:
         return rng.randint(-3, 3)
     return [f"{rng.randint(-5, 5)}/{rng.randint(1, 4)}" for _ in range(4)]
 
@@ -100,8 +110,12 @@ def _apply_case(rng: random.Random) -> dict:
         k = rng.randrange(order)
         m = rng.randint(62, 66) - k
         comps[k] += [0] * (m - len(comps[k])) + [rng.choice((1, [0, "1/2", 0, -1]))]
-    return {"kind": "apply", "op": rng.choice(("G", "V", "D", "Dbar", "laplacian", "tau", "c_n")),
+    case = {"kind": "apply", "op": rng.choice(("G", "V", "D", "Dbar", "laplacian", "tau", "c_n")),
             "spec": {"order": order, "components": comps}, "raw": rng.random() < 0.5}
+    if case["raw"] and rng.random() < 0.5:  # split a term's coefficient, add a cancelling pair
+        case["merge"] = [rng.random(), _exact_coeff(rng, strings=True),
+                         [rng.randint(0, 2) for _ in range(4)], _exact_coeff(rng, strings=True)]
+    return case
 
 
 def corpus(count: int, seed: int) -> list:
